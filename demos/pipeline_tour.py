@@ -3,62 +3,40 @@
 Run:  python3 demos/pipeline_tour.py
 """
 
-from linres.betti import GF2, QQ, is_linear_resolution, koszul_betti
-from linres.errors import PreconditionError
-from linres.graphs import (
-    check_star,
-    check_star_star,
-    complement,
-    dirac_labeling,
-    graph_of_ideal,
-    is_chordal,
-)
-from linres.monomials import MonomialIdeal, default_names, format_monomial, ideal_from_strings
-from linres.quotients import construct_lq_order, find_lq_order
-from linres.rees import format_binomial, toric_ideal_basis, x_degree_check
+from linres.monomials import MonomialIdeal, default_names, ideal_from_strings
+from linres.pipeline import analyze
 
 
 def show(title: str, ideal: MonomialIdeal) -> None:
-    names = default_names(ideal.n)
+    report = analyze(ideal)
     print(f"\n=== {title}: {ideal} ===")
 
-    g = graph_of_ideal(ideal).simple()
-    chord = is_chordal(complement(g))
-    if chord.is_chordal:
-        print(f"complement chordal, elimination order {list(chord.peo)}")
+    chord = report["complement_chordal"]
+    if chord["ok"]:
+        print(f"complement chordal, elimination order {chord['peo']}")
+        print(f"labeling {report['labeling']}")
     else:
-        print(f"complement NOT chordal, chordless cycle {list(chord.chordless_cycle)}")
+        print(f"complement NOT chordal, chordless cycle {chord['chordless_cycle']}")
+    conditions = report["conditions"]
+    print(f"condition (*): {conditions['star']['ok']}   "
+          f"condition (**): {conditions['star_star']['ok']}")
 
-    relabeled = ideal
-    if chord.is_chordal:
-        labeling = dirac_labeling(g, ideal.square_set())
-        relabeled = ideal.relabel(labeling)
-        print(f"labeling {list(labeling)}")
-    star, star2 = check_star(relabeled), check_star_star(relabeled)
-    print(f"condition (*): {star.ok}   condition (**): {star2.ok}")
+    lq = report["linear_quotients"]
+    found = {True: " > ".join(lq.get("order", ())), False: "none"}.get(lq["ok"], "unknown")
+    print(f"linear quotients by {lq['via']}: {found}")
 
-    if star.ok and star2.ok:
-        order = construct_lq_order(relabeled)
-        print("linear quotients by construction (relabeled variables):",
-              " > ".join(format_monomial(m, default_names(relabeled.n)) for m in order))
-    else:
-        found = find_lq_order(ideal)
-        print("linear quotients by search:",
-              " > ".join(format_monomial(m, names) for m in found) if found else "none")
+    for field, linear in report["linear_resolution"].items():
+        print(f"over {field}: regularity {report['regularity'][field]}, "
+              f"linear resolution {linear}")
 
-    for field in (QQ, GF2):
-        table = koszul_betti(ideal, field)
-        print(f"over {field}: regularity {table.regularity}, "
-              f"linear resolution {is_linear_resolution(ideal, field)}")
-
-    basis = toric_ideal_basis(relabeled)
-    report = x_degree_check(basis)
-    print(f"Rees relations: {len(basis.elements)} reduced elements, "
-          f"max x-degree {report.max_x_degree}")
-    if report.ok:
+    rees = report["rees"]
+    xdeg = rees["x_degree"]
+    print(f"Rees relations: {len(rees['groebner']['elements'])} reduced elements, "
+          f"max x-degree {xdeg['max_x_degree']}")
+    if xdeg["ok"]:
         print("certificate holds: every power has a linear resolution")
     else:
-        print("no certificate:", format_binomial(report.witness, basis.ring.names))
+        print("no certificate:", xdeg["witness"])
 
 
 if __name__ == "__main__":

@@ -12,18 +12,19 @@ from .betti import (
     QQ,
     BettiTable,
     FieldSpec,
+    check_polarization,
+    checked_table,
     cohomology_dims,
     hochster_oracle,
     homology_dims,
     is_linear_resolution,
     koszul_betti,
+    power_record,
     powers_linear_report,
-    regularity,
 )
 from .errors import (
     BudgetExhausted,
     Falsification,
-    InconclusiveWindow,
     InputError,
     PreconditionError,
     ResourceGuard,
@@ -55,7 +56,6 @@ from .monomials import (
     format_monomial,
     ideal_from_json,
     ideal_from_strings,
-    ideal_power,
     ideal_to_json,
     minimal_generators,
     monomial_from_support,

@@ -25,10 +25,11 @@ elimination over GF(p).
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
-from .errors import Falsification, InconclusiveWindow, InputError, ResourceGuard
-from .monomials import Monomial, MonomialIdeal
+from .errors import Falsification, InputError, ResourceGuard
+from .monomials import MonomialIdeal
 from .rank import is_prime, rank_mod_p, rank_over_q
 
 
@@ -74,18 +75,12 @@ GF2 = FieldSpec(2)
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Graded Betti numbers beta_{i,j} of an ideal (i homological, j internal).
-
-    ``complete`` records whether the computed window provably covers every
-    nonzero entry; regularity and linearity refuse to answer otherwise.
-    """
+    """Graded Betti numbers beta_{i,j} of an ideal (i homological, j internal)."""
 
     n: int
     field: FieldSpec
     entries: dict[tuple[int, int], int]
     gen_degree: int | None
-    window: tuple[int, int]
-    complete: bool
 
     def get(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -95,32 +90,18 @@ class BettiTable:
 
     @property
     def regularity(self) -> int:
-        """max(j - i) over nonzero entries.  Requires a complete table."""
-        if not self.complete:
-            raise InconclusiveWindow(
-                f"window {self.window} may truncate the table; regularity inconclusive"
-            )
+        """max(j - i) over nonzero entries."""
         if not self.entries:
             raise InputError("regularity of the zero module is undefined here")
         return max(j - i for i, j in self.entries)
 
     @property
     def is_linear(self) -> bool:
-        """True iff beta_{i,j} = 0 whenever j != i + d.
-
-        A violation inside the window answers False even when the window
-        is incomplete; certifying True needs the complete table.
-        """
+        """True iff beta_{i,j} = 0 whenever j != i + d."""
         if self.gen_degree is None:
             raise InputError("linearity is only defined for equigenerated ideals")
         d = self.gen_degree
-        if any(j != i + d for i, j in self.entries):
-            return False
-        if not self.complete:
-            raise InconclusiveWindow(
-                f"no violation in window {self.window}, but the table may continue"
-            )
-        return True
+        return all(j == i + d for i, j in self.entries)
 
     def to_json(self) -> dict:
         out = {
@@ -129,13 +110,10 @@ class BettiTable:
                 {"i": i, "j": j, "beta": b} for (i, j), b in self.items_sorted()
             ],
         }
-        if self.complete and self.entries:
+        if self.entries:
             out["regularity"] = self.regularity
             if self.gen_degree is not None:
                 out["linear"] = self.is_linear
-        elif not self.complete:
-            out["inconclusive"] = True
-            out["window"] = list(self.window)
         return out
 
 
@@ -235,7 +213,7 @@ def _faces_from_facets(facet_masks: list[int]) -> list[frozenset[int]]:
             if sub == 0:
                 break
             sub = (sub - 1) & mask
-    return [frozenset(i + 1 for i in range(64) if m >> i & 1) for m in seen]
+    return [frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1) for m in seen]
 
 
 # ---------------------------------------------------------------------------
@@ -262,31 +240,19 @@ def _strand_complex_facets(gens_exps: list[tuple[int, ...]], a: tuple[int, ...])
 def koszul_betti(
     ideal: MonomialIdeal,
     field: FieldSpec = QQ,
-    window: tuple[int, int] | None = None,
     multidegree_cap: int | None = None,
 ) -> BettiTable:
     """The graded Betti table of a nonzero monomial ideal.
 
     Scans every multidegree below the lcm of the generators (the region
     that can carry nonzero Betti numbers) and accumulates strand homology.
-    ``window=(lo, hi)`` restricts to internal degrees lo <= j <= hi; the
-    resulting table is flagged incomplete unless the window covers the
-    whole region.  ``multidegree_cap`` aborts with ResourceGuard when the
-    scan box holds more multidegrees than the cap.
+    ``multidegree_cap`` aborts with ResourceGuard when the scan box holds
+    more multidegrees than the cap.
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
     gens_exps = [g.exps for g in ideal.gens]
     maxvec = tuple(max(g[v] for g in gens_exps) for v in range(ideal.n))
-    d_min = min(g.degree for g in ideal.gens)
-    full = (d_min, sum(maxvec))
-    if window is None:
-        lo, hi = full
-        complete = True
-    else:
-        lo, hi = window
-        complete = lo <= full[0] and hi >= full[1]
-
     box = 1
     for e in maxvec:
         box *= e + 1
@@ -297,25 +263,16 @@ def koszul_betti(
 
     entries: dict[tuple[int, int], int] = {}
     for a in itertools.product(*(range(e + 1) for e in maxvec)):
-        j = sum(a)
-        if j < lo or j > hi:
-            continue
         facets = _strand_complex_facets(gens_exps, a)
         if facets is None:
             continue
         dims = homology_dims(_faces_from_facets(facets), field)
+        j = sum(a)
         for k, h in dims.items():
             i = k + 1
             if i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h
-    return BettiTable(
-        n=ideal.n,
-        field=field,
-        entries=entries,
-        gen_degree=ideal.degree,
-        window=(lo, hi),
-        complete=complete,
-    )
+    return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -353,82 +310,103 @@ def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
                 i = w_size - k - 2
                 if i >= 0:
                     entries[(i, w_size)] = entries.get((i, w_size), 0) + h
-    return BettiTable(
-        n=ideal.n,
-        field=field,
-        entries=entries,
-        gen_degree=ideal.degree,
-        window=(0, ideal.n),
-        complete=True,
-    )
+    return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
 
 
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
 
+def check_polarization(ideal: MonomialIdeal, table: BettiTable,
+                       multidegree_cap: int | None = None) -> None:
+    """Cross-check a quadratic ideal with squares against its polarization.
+
+    Polarization keeps the graded Betti numbers, so the Koszul table of
+    the polarized (squarefree) ideal must equal *table*, the ideal's own
+    over the same field, entry by entry; a split raises Falsification.
+    Other ideals pass without a scan.
+    """
+    if ideal.degree != 2 or ideal.is_squarefree():
+        return
+    pol = koszul_betti(ideal.polarize(), table.field, multidegree_cap=multidegree_cap)
+    if pol.entries != table.entries:
+        raise Falsification(
+            "polarization changed the Betti table: "
+            f"{sorted(pol.entries.items())} vs {sorted(table.entries.items())}"
+        )
+
+
+def checked_table(ideal: MonomialIdeal, field: FieldSpec = QQ,
+                  multidegree_cap: int | None = None) -> BettiTable:
+    """The Koszul table of I over *field*, after the polarization cross-check."""
+    table = koszul_betti(ideal, field, multidegree_cap=multidegree_cap)
+    check_polarization(ideal, table, multidegree_cap)
+    return table
+
+
 def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ,
                          multidegree_cap: int | None = None) -> bool:
     """Does the minimal free resolution of I live on a single linear strand?
 
-    Requires a nonzero equigenerated ideal.  For non-squarefree quadratic
-    ideals the verdict is computed on the polarization and on the ideal
-    itself, and the two full tables are required to agree entry by entry.
+    Requires a nonzero equigenerated ideal.  The verdict is read from the
+    checked table, so a quadratic ideal with squares is also scanned
+    through its polarization and the two tables must agree.
     """
     if ideal.is_zero():
         raise InputError("linearity of the zero ideal is not defined")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    direct = koszul_betti(ideal, field, multidegree_cap=multidegree_cap)
-    if ideal.degree == 2 and not ideal.is_squarefree():
-        pol = koszul_betti(ideal.polarize(), field, multidegree_cap=multidegree_cap)
-        if pol.entries != direct.entries:
-            raise Falsification(
-                "polarization changed the Betti table: "
-                f"{sorted(pol.entries.items())} vs {sorted(direct.entries.items())}"
-            )
-        return pol.is_linear
-    return direct.is_linear
+    return checked_table(ideal, field, multidegree_cap).is_linear
 
 
-def regularity(ideal: MonomialIdeal, field: FieldSpec = QQ) -> int:
-    return koszul_betti(ideal, field).regularity
+POWER_MULTIDEGREE_CAP = 2_000_000
+
+
+def power_record(k: int, power: MonomialIdeal, fields,
+                 multidegree_cap: int | None = POWER_MULTIDEGREE_CAP,
+                 tables: dict[str, BettiTable] | None = None) -> dict:
+    """The linearity record of one power I^k.
+
+    It carries k, the number of minimal generators and one verdict per
+    field.  *tables*, when given, maps every field's label to the checked
+    table of I^k, which is then read instead of scanned again.  When the
+    multidegree cap trips, the record carries the abort and no verdicts.
+    """
+    record: dict = {"k": k, "num_gens": power.num_gens, "linear": {}}
+    t0 = time.perf_counter()
+    try:
+        for f in fields:
+            table = tables[f.label] if tables else checked_table(power, f, multidegree_cap)
+            record["linear"][f.label] = table.is_linear
+    except ResourceGuard as exc:
+        record["aborted"] = str(exc)
+        record["linear"] = None
+        return record
+    record["seconds"] = round(time.perf_counter() - t0, 3)
+    return record
 
 
 def powers_linear_report(
     ideal: MonomialIdeal,
     fields=(QQ, GF2),
     max_power: int = 2,
-    multidegree_cap: int | None = 2_000_000,
+    multidegree_cap: int | None = POWER_MULTIDEGREE_CAP,
 ) -> list[dict]:
-    """Per-power linearity verdicts for I, I^2, ..., I^max_power.
+    """Per-power linearity records (see power_record) for I, I^2, ..., I^max_power.
 
-    Each record carries k, the number of minimal generators, and one
-    verdict per field.  The multidegree cap guards the Koszul scan; when
-    it trips, the abort is recorded for that power and the remaining
-    powers are skipped (they can only be larger).
+    The multidegree cap guards the Koszul scan; when it trips, the abort
+    is recorded for that power and the remaining powers are skipped (they
+    can only be larger).
     """
-    import time
-
     if ideal.is_zero():
         raise InputError("powers of the zero ideal are not informative")
     if max_power < 1:
         raise InputError(f"max_power must be >= 1, got {max_power}")
+    if not ideal.is_equigenerated():
+        raise InputError("linearity needs all generators in one degree")
     out = []
     for k in range(1, max_power + 1):
-        power = ideal.power(k)
-        record: dict = {"k": k, "num_gens": power.num_gens, "linear": {}}
-        t0 = time.perf_counter()
-        try:
-            for f in fields:
-                record["linear"][f.label] = is_linear_resolution(
-                    power, f, multidegree_cap=multidegree_cap
-                )
-        except ResourceGuard as exc:
-            record["aborted"] = str(exc)
-            record["linear"] = None
-            out.append(record)
+        out.append(power_record(k, ideal.power(k), fields, multidegree_cap))
+        if out[-1]["linear"] is None:
             break
-        record["seconds"] = round(time.perf_counter() - t0, 3)
-        out.append(record)
     return out

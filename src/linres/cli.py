@@ -1,10 +1,10 @@
 """Command line interface.
 
-Seven subcommands over JSON ideal/graph files: `analyze` runs the whole
-pipeline on a quadratic monomial ideal and cross-checks every verdict
-against the others, the rest expose the individual stages.  Exit codes:
-0 for a completed run (negative verdicts included), 2 for input or
-resource problems, 3 when two routes that must agree disagree.
+Seven subcommands over JSON ideal/graph files: `analyze` prints the
+cross-checked report of linres.pipeline, the rest expose the individual
+stages.  Exit codes: 0 for a completed run (negative verdicts included),
+2 for input or resource problems, 3 when two routes that must agree
+disagree.
 """
 
 from __future__ import annotations
@@ -12,42 +12,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from .betti import (
-    GF2,
-    QQ,
-    FieldSpec,
-    is_linear_resolution,
-    koszul_betti,
-    powers_linear_report,
-)
+from . import pipeline
+from .betti import GF2, QQ, FieldSpec, koszul_betti, powers_linear_report
 from .errors import (
     BudgetExhausted,
     Falsification,
-    InconclusiveWindow,
     InputError,
     PreconditionError,
     ResourceGuard,
 )
 from .graphs import (
-    check_free_vertex_squares,
     check_star,
     check_star_star,
     complement,
-    dirac_labeling,
     graph_from_json,
     graph_of_ideal,
     graph_to_json,
     is_chordal,
 )
-from .monomials import (
-    Monomial,
-    MonomialIdeal,
-    format_monomial,
-    ideal_from_json,
-    ideal_to_json,
-)
+from .monomials import MonomialIdeal, format_monomial, ideal_from_json, ideal_to_json
+from .pipeline import check_json, chordality_json
 from .quotients import construct_lq_order, find_lq_order, has_linear_quotients, isolated_squares
 from .rees import (
     ReesRing,
@@ -55,7 +40,6 @@ from .rees import (
     format_binomial,
     groebner_vs_walks,
     toric_ideal_basis,
-    x_degree_check,
 )
 
 
@@ -90,22 +74,11 @@ def _parse_fields(raw: list[str] | None) -> list[FieldSpec]:
     return out
 
 
-def _plain(x):
-    """Make witnesses JSON-friendly: sets become sorted lists, tuples lists."""
-    if isinstance(x, (frozenset, set)):
-        return sorted(_plain(v) for v in x)
-    if isinstance(x, (tuple, list)):
-        return [_plain(v) for v in x]
-    if isinstance(x, Monomial):
-        return str(x)
-    return x
-
-
 def _yesno(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def _ideal_blurb(ideal: MonomialIdeal, names: list[str]) -> str:
+def _ideal_blurb(ideal: MonomialIdeal) -> str:
     if ideal.is_zero():
         return f"zero ideal in {ideal.n} variables"
     degrees = sorted({g.degree for g in ideal.gens})
@@ -113,29 +86,12 @@ def _ideal_blurb(ideal: MonomialIdeal, names: list[str]) -> str:
     return f"{ideal.num_gens} generators of degree {d} in {ideal.n} variables"
 
 
-def _unlabel_order(order, labeling) -> list[Monomial]:
-    """Pull monomials written in relabeled coordinates back to the input ones."""
-    n = len(labeling)
-    return [Monomial(tuple(m.exps[labeling[i] - 1] for i in range(n))) for m in order]
-
-
-def _chordality_json(verdict) -> dict:
-    if verdict.is_chordal:
-        return {"ok": True, "peo": list(verdict.peo)}
-    return {"ok": False, "chordless_cycle": list(verdict.chordless_cycle)}
-
-
-def _check_json(result) -> dict:
-    return {"ok": result.ok, "witness": _plain(result.witness)}
-
-
-def _table_lines(label: str, table) -> list[str]:
-    cells = " ".join(
-        f"b({i},{j})={b}" for (i, j), b in table.items_sorted()
-    )
-    tail = f"regularity {table.regularity}" if table.complete else "window incomplete"
-    if table.gen_degree is not None and table.complete:
-        tail += f", linear: {_yesno(table.is_linear)}"
+def _table_lines(label: str, table: dict) -> list[str]:
+    """Two lines for a Betti table in its JSON form: the cells, then the verdicts."""
+    cells = " ".join(f"b({e['i']},{e['j']})={e['beta']}" for e in table["entries"])
+    tail = f"regularity {table['regularity']}"
+    if "linear" in table:
+        tail += f", linear: {_yesno(table['linear'])}"
     return [f"  {label}: {cells}", f"  {label}: {tail}"]
 
 
@@ -153,307 +109,90 @@ def _power_lines(records) -> list[str]:
     return out
 
 
+def _chordality_line(tag: str, verdict: dict) -> str:
+    if verdict["ok"]:
+        return f"{tag}: chordal, elimination order {verdict['peo']}"
+    return f"{tag}: not chordal, chordless cycle {verdict['chordless_cycle']}"
+
+
+def _condition_line(name: str, check: dict) -> str:
+    witness = "" if check["ok"] else f", witness {tuple(check['witness'])}"
+    return f"condition ({name}): {_yesno(check['ok'])}{witness}"
+
+
+def _quotients_line(lq: dict) -> str:
+    if lq["ok"] is True:
+        return f"linear quotients: yes (via {lq['via']}): " + " > ".join(lq["order"])
+    if lq["ok"] is False:
+        return "linear quotients: no order exists"
+    return "linear quotients: unknown (search budget exhausted)"
+
+
+def _verdicts_line(title: str, verdicts: dict, show=str) -> str:
+    return f"{title}: " + ", ".join(f"{lab}: {show(v)}" for lab, v in verdicts.items())
+
+
 # ---------------------------------------------------------------------------
 # analyze: the full pipeline with cross-checks
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> tuple[dict, list[str]]:
     ideal, names = ideal_from_json(_load_json(args.ideal))
-    fields = _parse_fields(args.field)
-    report: dict = {"command": "analyze", "input": ideal_to_json(ideal, names)}
-    lines = [f"ideal: {_ideal_blurb(ideal, names)}"]
-    if args.seed is not None:
-        report["seed"] = args.seed
+    report = pipeline.analyze(ideal, _parse_fields(args.field), args.max_power, names)
+    return report, _analyze_lines(ideal, report, args.max_power)
 
-    if ideal.is_zero():
-        report["verdict"] = "zero ideal: nothing to resolve"
-        lines.append("zero ideal: nothing to resolve")
-        return report, lines
 
-    timings: dict[str, float] = {}
-    if ideal.degree != 2:
-        return _analyze_nonquadratic(args, ideal, names, fields, report, lines)
+def _analyze_lines(ideal: MonomialIdeal, report: dict, max_power: int) -> list[str]:
+    """The text form of an analyze report."""
+    lines = [f"ideal: {_ideal_blurb(ideal)}"]
+    if "verdict" in report:
+        return lines + [report["verdict"]]
+    if report["degree"] != 2:
+        lines.append("generators are not all of degree 2: the graph, construction and "
+                     "Rees stages are specific to quadrics and are skipped")
+        for lab, table in report["betti"].items():
+            lines.extend(_table_lines(lab, table))
+        if "note" in report:
+            return lines
+        lines.append(_verdicts_line("linear resolution", report["linear_resolution"], _yesno))
+        lines.append(_quotients_line(report["linear_quotients"]))
+        lines.append(f"powers up to k={max_power}:")
+        lines.extend(_power_lines(report["powers"]))
+        return lines
 
-    squares = sorted(ideal.square_set())
-    report["degree"] = 2
-    report["squares"] = squares
+    squares = report["squares"]
     lines.append("squares: " + (", ".join(str(i) for i in squares) if squares else "none"))
-
-    # stage 1: chordality of the complement of the squarefree part's graph
-    t0 = time.perf_counter()
-    g_simple = graph_of_ideal(ideal).simple()
-    comp = complement(g_simple)
-    chord = is_chordal(comp)
-    timings["chordal"] = round(time.perf_counter() - t0, 3)
-    report["complement_chordal"] = _chordality_json(chord)
-    if chord.is_chordal:
-        lines.append(f"complement graph: chordal, elimination order {list(chord.peo)}")
-    else:
-        lines.append(
-            f"complement graph: not chordal, chordless cycle {list(chord.chordless_cycle)}"
-        )
-
-    # stage 2: quasi-tree labeling and the two generator conditions
-    labeling = None
-    relabeled = ideal
-    if chord.is_chordal:
-        # square vertices ride on top of their peel block; see dirac_labeling
-        labeling = dirac_labeling(g_simple, ideal.square_set())
-        if labeling != tuple(range(1, ideal.n + 1)):
-            relabeled = ideal.relabel(labeling)
-        report["labeling"] = list(labeling)
-        lines.append("labeling: " + ", ".join(
-            f"{i + 1}->{l}" for i, l in enumerate(labeling)))
-    else:
-        report["labeling"] = None
+    lines.append(_chordality_line("complement graph", report["complement_chordal"]))
+    labeling = report["labeling"]
+    if labeling is None:
         lines.append("labeling: skipped (complement not chordal)")
-
-    star = check_star(relabeled)
-    star2 = check_star_star(relabeled)
-    conditions: dict = {"star": _check_json(star), "star_star": _check_json(star2)}
-    lines.append(f"condition (*): {_yesno(star.ok)}"
-                 + ("" if star.ok else f", witness {star.witness}"))
-    lines.append(f"condition (**): {_yesno(star2.ok)}"
-                 + ("" if star2.ok else f", witness {star2.witness}"))
-
-    try:
-        fv = check_free_vertex_squares(ideal)
-        conditions["free_vertex_squares"] = {"applicable": True, **_check_json(fv)}
-        lines.append(f"free-vertex squares: {_yesno(fv.ok)}"
-                     + ("" if fv.ok else f", witness {_plain(fv.witness)}"))
-    except PreconditionError as exc:
-        fv = None
-        conditions["free_vertex_squares"] = {"applicable": False, "reason": str(exc)}
+    else:
+        lines.append("labeling: " + ", ".join(f"{i + 1}->{l}" for i, l in enumerate(labeling)))
+    conditions = report["conditions"]
+    lines.append(_condition_line("*", conditions["star"]))
+    lines.append(_condition_line("**", conditions["star_star"]))
+    fv = conditions["free_vertex_squares"]
+    if not fv["applicable"]:
         lines.append("free-vertex squares: not applicable (complement not chordal)")
-    report["conditions"] = conditions
-
-    # stage 3: a linear-quotients order, by construction when the conditions
-    # license it and by exhaustive search otherwise
-    t0 = time.perf_counter()
-    lq: dict
-    lq_ok: bool | str
-    if star.ok and star2.ok:
-        order = construct_lq_order(relabeled)
-        shown = _unlabel_order(order, labeling) if labeling else list(order)
-        recheck = has_linear_quotients(shown)
-        if not recheck.ok:
-            raise Falsification(
-                "constructed order fails the colon-ideal check after relabeling "
-                f"back, witness {recheck.witness}"
-            )
-        iso = isolated_squares(relabeled)
-        if labeling:
-            # translate the relabeled indices back to the input variables
-            inverse = {labeling[v - 1]: v for v in range(1, ideal.n + 1)}
-            iso = tuple(sorted(inverse[i] for i in iso))
-        lq_ok = True
-        lq = {
-            "ok": True,
-            "via": "construction",
-            "order": [format_monomial(m, names) for m in shown],
-            "isolated_squares": list(iso),
-        }
     else:
-        try:
-            found = find_lq_order(ideal)
-        except BudgetExhausted as exc:
-            found = None
-            lq = {"ok": "unknown", "via": "search", "reason": str(exc)}
-            lq_ok = "unknown"
-        else:
-            if found is None:
-                lq = {"ok": False, "via": "search"}
-                lq_ok = False
-            else:
-                lq = {
-                    "ok": True,
-                    "via": "search",
-                    "order": [format_monomial(m, names) for m in found],
-                }
-                lq_ok = True
-    timings["quotients"] = round(time.perf_counter() - t0, 3)
-    report["linear_quotients"] = lq
-    if lq_ok is True:
-        lines.append(f"linear quotients: yes (via {lq['via']}): "
-                     + " > ".join(lq["order"]))
-    elif lq_ok is False:
-        lines.append("linear quotients: no order exists")
+        lines.append(f"free-vertex squares: {_yesno(fv['ok'])}"
+                     + ("" if fv["ok"] else f", witness {fv['witness']}"))
+    lines.append(_quotients_line(report["linear_quotients"]))
+    lines.append(_verdicts_line("linear resolution", report["linear_resolution"], _yesno))
+    lines.append(_verdicts_line("regularity", report["regularity"]))
+    lines.append(f"powers up to k={max_power}:")
+    lines.extend(_power_lines(report["powers"]))
+    rees = report["rees"]
+    size = len(rees["groebner"]["elements"])
+    xdeg = rees["x_degree"]
+    if xdeg["ok"]:
+        lines.append(f"Rees relations: {size} elements, every lead of x-degree <= 1: "
+                     "all powers have linear resolutions")
     else:
-        lines.append("linear quotients: unknown (search budget exhausted)")
-
-    # stage 4: Betti tables and linearity per field
-    t0 = time.perf_counter()
-    tables = {}
-    linear: dict[str, bool] = {}
-    for f in fields:
-        tables[f.label] = koszul_betti(ideal, f)
-        linear[f.label] = is_linear_resolution(ideal, f)
-        if tables[f.label].is_linear != linear[f.label]:
-            raise Falsification(
-                f"table linearity and the linearity verdict disagree over {f.label}"
-            )
-    timings["betti"] = round(time.perf_counter() - t0, 3)
-    report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
-    report["linear_resolution"] = dict(linear)
-    report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
-    lines.append("linear resolution: "
-                 + ", ".join(f"{lab}: {_yesno(v)}" for lab, v in linear.items()))
-    lines.append("regularity: "
-                 + ", ".join(f"{lab}: {t.regularity}" for lab, t in tables.items()))
-
-    # cross-checks between the combinatorial and homological answers
-    if ideal.is_squarefree():
-        for lab, v in linear.items():
-            if v != chord.is_chordal:
-                raise Falsification(
-                    f"squarefree linearity over {lab} is {v} but complement "
-                    f"chordality is {chord.is_chordal}"
-                )
-    else:
-        if any(linear.values()) and not chord.is_chordal:
-            raise Falsification(
-                "ideal with a linear resolution whose squarefree part has a "
-                "non-chordal complement graph"
-            )
-        if any(linear.values()) and fv is not None and not fv.ok:
-            raise Falsification(
-                f"linear resolution but a square fails the free-vertex/facet "
-                f"conditions, witness {_plain(fv.witness)}"
-            )
-        if any(linear.values()) and fv is None:
-            raise Falsification(
-                "linear resolution but the free-vertex check was inapplicable"
-            )
-    if any(linear.values()) and labeling is not None and not (star.ok and star2.ok):
-        raise Falsification(
-            "linear resolution but the relabeled ideal fails (*) or (**)"
-        )
-    if lq_ok is True and not all(linear.values()):
-        raise Falsification(
-            "linear quotients order exists but some field denies a linear resolution"
-        )
-
-    # stage 5: powers
-    t0 = time.perf_counter()
-    records = powers_linear_report(ideal, fields, max_power=args.max_power)
-    timings["powers"] = round(time.perf_counter() - t0, 3)
-    report["powers"] = records
-    lines.append(f"powers up to k={args.max_power}:")
-    lines.extend(_power_lines(records))
-    first = records[0]
-    if first.get("linear"):
-        for lab, v in linear.items():
-            if first["linear"].get(lab) != v:
-                raise Falsification(f"power k=1 disagrees with the ideal over {lab}")
-    for rec in records:
-        if not rec.get("linear"):
-            continue
-        for lab, v in linear.items():
-            if v and not rec["linear"].get(lab, True):
-                raise Falsification(
-                    f"linear ideal with a non-linear power k={rec['k']} over {lab}"
-                )
-
-    # stage 6: Rees relations and the x-degree certificate, in the relabeled
-    # coordinates when a labeling exists
-    t0 = time.perf_counter()
-    basis = toric_ideal_basis(relabeled)
-    xrep = x_degree_check(basis)
-    timings["rees"] = round(time.perf_counter() - t0, 3)
-    report["rees"] = {
-        "coordinates": "relabeled" if labeling and relabeled is not ideal else "input",
-        "groebner": basis.to_json(),
-        "x_degree": {
-            "ok": xrep.ok,
-            "max_x_degree": xrep.max_x_degree,
-            "witness": None if xrep.witness is None
-            else format_binomial(xrep.witness, basis.ring.names),
-        },
-    }
-    if xrep.ok:
-        lines.append(
-            f"Rees relations: {len(basis.elements)} elements, every lead of "
-            "x-degree <= 1: all powers have linear resolutions"
-        )
-    else:
-        lines.append(
-            f"Rees relations: {len(basis.elements)} elements, x-degree "
-            f"{xrep.max_x_degree} at {report['rees']['x_degree']['witness']}"
-        )
-    if star.ok and star2.ok and not xrep.ok:
-        raise Falsification(
-            "(*) and (**) hold but the reduced basis has a lead of x-degree > 1"
-        )
-    if xrep.ok:
-        for rec in records:
-            if rec.get("linear") and not all(rec["linear"].values()):
-                raise Falsification(
-                    f"x-degree certificate holds but power k={rec['k']} is not linear"
-                )
-        if not all(linear.values()):
-            raise Falsification(
-                "x-degree certificate holds but the ideal itself is not linear"
-            )
-
-    report["timings"] = timings
-    report["falsifications"] = 0
+        lines.append(f"Rees relations: {size} elements, x-degree "
+                     f"{xdeg['max_x_degree']} at {xdeg['witness']}")
     lines.append("cross-checks: all consistent")
-    return report, lines
-
-
-def _analyze_nonquadratic(args, ideal, names, fields, report, lines):
-    """Betti-only route for equigenerated degree != 2 and mixed ideals."""
-    report["degree"] = ideal.degree
-    lines.append("generators are not all of degree 2: graph, quotient and Rees "
-                 "stages are specific to quadrics and are skipped")
-    tables = {f.label: koszul_betti(ideal, f) for f in fields}
-    report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
-    report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
-    for lab, t in tables.items():
-        lines.extend(_table_lines(lab, t))
-    if not ideal.is_equigenerated():
-        report["note"] = "mixed degrees: linearity and powers not applicable"
-        return report, lines
-
-    linear = {f.label: is_linear_resolution(ideal, f) for f in fields}
-    report["linear_resolution"] = dict(linear)
-    lines.append("linear resolution: "
-                 + ", ".join(f"{lab}: {_yesno(v)}" for lab, v in linear.items()))
-
-    try:
-        found = find_lq_order(ideal)
-    except BudgetExhausted as exc:
-        report["linear_quotients"] = {"ok": "unknown", "reason": str(exc)}
-        lines.append("linear quotients: unknown (search budget exhausted)")
-        found = None
-    else:
-        if found is None:
-            report["linear_quotients"] = {"ok": False, "via": "search"}
-            lines.append("linear quotients: no order exists")
-        else:
-            report["linear_quotients"] = {
-                "ok": True,
-                "via": "search",
-                "order": [format_monomial(m, names) for m in found],
-            }
-            lines.append("linear quotients: yes: "
-                         + " > ".join(report["linear_quotients"]["order"]))
-            if not all(linear.values()):
-                raise Falsification(
-                    "linear quotients order exists but some field denies a "
-                    "linear resolution"
-                )
-
-    records = powers_linear_report(ideal, fields, max_power=args.max_power)
-    report["powers"] = records
-    lines.append(f"powers up to k={args.max_power}:")
-    lines.extend(_power_lines(records))
-    first = records[0]
-    if first.get("linear"):
-        for lab, v in linear.items():
-            if first["linear"].get(lab) != v:
-                raise Falsification(f"power k=1 disagrees with the ideal over {lab}")
-    return report, lines
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +203,9 @@ def cmd_betti(args) -> tuple[dict, list[str]]:
     ideal, names = ideal_from_json(_load_json(args.ideal))
     fields = _parse_fields(args.field)
     report = {"command": "betti", "input": ideal_to_json(ideal, names), "tables": {}}
-    lines = [f"ideal: {_ideal_blurb(ideal, names)}"]
+    lines = [f"ideal: {_ideal_blurb(ideal)}"]
     for f in fields:
-        table = koszul_betti(ideal, f)
-        report["tables"][f.label] = table.to_json()
+        table = report["tables"][f.label] = koszul_betti(ideal, f).to_json()
         lines.extend(_table_lines(f.label, table))
     return report, lines
 
@@ -482,7 +220,7 @@ def cmd_power(args) -> tuple[dict, list[str]]:
         "max_power": args.max_power,
         "powers": records,
     }
-    lines = [f"ideal: {_ideal_blurb(ideal, names)}"]
+    lines = [f"ideal: {_ideal_blurb(ideal)}"]
     lines.extend(_power_lines(records))
     return report, lines
 
@@ -503,44 +241,33 @@ def cmd_chordal(args) -> tuple[dict, list[str]]:
         "command": "chordal",
         "source": source,
         "graph": graph_to_json(g),
-        "chordal": _chordality_json(chord),
-        "complement": {**graph_to_json(comp), "chordal": _chordality_json(comp_chord)},
+        "chordal": chordality_json(chord),
+        "complement": {**graph_to_json(comp), "chordal": chordality_json(comp_chord)},
     }
-    lines = [f"graph on {g.n} vertices with {len(g.edges)} edges"]
-    for tag, verdict in (("graph", chord), ("complement", comp_chord)):
-        if verdict.is_chordal:
-            lines.append(f"{tag}: chordal, elimination order {list(verdict.peo)}")
-        else:
-            lines.append(
-                f"{tag}: not chordal, chordless cycle {list(verdict.chordless_cycle)}"
-            )
-    return report, lines
+    return report, [
+        f"graph on {g.n} vertices with {len(g.edges)} edges",
+        _chordality_line("graph", report["chordal"]),
+        _chordality_line("complement", report["complement"]["chordal"]),
+    ]
 
 
 def cmd_groebner(args) -> tuple[dict, list[str]]:
     ideal, names = ideal_from_json(_load_json(args.ideal))
-    basis = toric_ideal_basis(ideal)
-    xrep = x_degree_check(basis)
+    basis, rees_json = pipeline.rees_relations(ideal)
     report = {
         "command": "groebner",
         "input": ideal_to_json(ideal, names),
         "ring": {"variables": list(basis.ring.names)},
-        "groebner": basis.to_json(),
-        "x_degree": {
-            "ok": xrep.ok,
-            "max_x_degree": xrep.max_x_degree,
-            "witness": None if xrep.witness is None
-            else format_binomial(xrep.witness, basis.ring.names),
-        },
+        **rees_json,
     }
-    lines = [f"ideal: {_ideal_blurb(ideal, names)}",
+    lines = [f"ideal: {_ideal_blurb(ideal)}",
              f"reduced basis ({basis.order.name}): {len(basis.elements)} elements"]
     lines.extend("  " + s for s in basis.formatted())
-    if xrep.ok:
+    xdeg = rees_json["x_degree"]
+    if xdeg["ok"]:
         lines.append("every lead has x-degree <= 1: all powers have linear resolutions")
     else:
-        lines.append(f"x-degree {xrep.max_x_degree} at "
-                     f"{format_binomial(xrep.witness, basis.ring.names)}: no conclusion")
+        lines.append(f"x-degree {xdeg['max_x_degree']} at {xdeg['witness']}: no conclusion")
     return report, lines
 
 
@@ -552,19 +279,17 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
         raise InputError("linear quotients need all generators in one degree")
     report: dict = {"command": "quotients", "input": ideal_to_json(ideal, names),
                     "degree": ideal.degree}
-    lines = [f"ideal: {_ideal_blurb(ideal, names)}"]
+    lines = [f"ideal: {_ideal_blurb(ideal)}"]
 
     constructible = False
     if ideal.degree == 2:
         star = check_star(ideal)
         star2 = check_star_star(ideal)
-        report["star"] = _check_json(star)
-        report["star_star"] = _check_json(star2)
+        report["star"] = check_json(star)
+        report["star_star"] = check_json(star2)
         report["isolated_squares"] = list(isolated_squares(ideal))
-        lines.append(f"condition (*): {_yesno(star.ok)}"
-                     + ("" if star.ok else f", witness {star.witness}"))
-        lines.append(f"condition (**): {_yesno(star2.ok)}"
-                     + ("" if star2.ok else f", witness {star2.witness}"))
+        lines.append(_condition_line("*", report["star"]))
+        lines.append(_condition_line("**", report["star_star"]))
         constructible = star.ok and star2.ok
 
     if constructible:
@@ -575,14 +300,12 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
             order = find_lq_order(ideal)
         except BudgetExhausted as exc:
             report["linear_quotients"] = {"ok": "unknown", "reason": str(exc)}
-            lines.append("linear quotients: unknown (search budget exhausted)")
-            return report, lines
+            return report, lines + [_quotients_line(report["linear_quotients"])]
         via = "search"
 
     if order is None:
         report["linear_quotients"] = {"ok": False, "via": via}
-        lines.append("linear quotients: no order exists")
-        return report, lines
+        return report, lines + [_quotients_line(report["linear_quotients"])]
     verdict = has_linear_quotients(order)
     if not verdict.ok:
         raise Falsification(
@@ -596,9 +319,7 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
     }
     if ideal.degree == 2 and report.get("isolated_squares"):
         report["linear_quotients"]["isolated_squares_at_bottom"] = report["isolated_squares"]
-    lines.append(f"linear quotients: yes (via {via}): "
-                 + " > ".join(report["linear_quotients"]["order"]))
-    return report, lines
+    return report, lines + [_quotients_line(report["linear_quotients"])]
 
 
 def cmd_walks(args) -> tuple[dict, list[str]]:
@@ -636,7 +357,7 @@ def cmd_walks(args) -> tuple[dict, list[str]]:
         },
     }
     lines = [
-        f"ideal: {_ideal_blurb(ideal, names)}",
+        f"ideal: {_ideal_blurb(ideal)}",
         f"cone graph: {ring.n + 1} vertices, {ring.num_vars} edges, walk bound {bound}"
         + ("" if sufficient else " (below the primitive-walk bound)"),
         f"primitive even closed walks: {len(primitive)}",
@@ -671,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded in the report; the pipeline is deterministic")
 
     def fieldsflag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--field", action="append", metavar="F",
@@ -684,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     fieldsflag(p)
     p.add_argument("--max-power", type=int, default=2, metavar="K",
                    help="check I^1..I^K (default 2)")
-    p.add_argument("--order", choices=["edge-lex"], default="edge-lex",
-                   help="term order for the Rees stage")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -709,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groebner", help="reduced toric basis of the Rees relations")
     p.add_argument("ideal")
-    p.add_argument("--order", choices=["edge-lex"], default="edge-lex")
     common(p)
     p.set_defaults(func=cmd_groebner)
 
@@ -734,8 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except Falsification as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return 3
-    except (InputError, PreconditionError, BudgetExhausted, ResourceGuard,
-            InconclusiveWindow) as exc:
+    except (InputError, PreconditionError, BudgetExhausted, ResourceGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

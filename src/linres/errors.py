@@ -36,7 +36,3 @@ class BudgetExhausted(RuntimeError):
 
 class ResourceGuard(RuntimeError):
     """A computation was aborted because it exceeded a configured cap."""
-
-
-class InconclusiveWindow(RuntimeError):
-    """A Betti computation was windowed too narrowly to certify the claim."""

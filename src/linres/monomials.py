@@ -250,10 +250,6 @@ def minimal_generators(n: int, monomials) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(monomials))
 
 
-def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    return ideal.power(k)
-
-
 # ---------------------------------------------------------------------------
 # parsing and serialization
 # ---------------------------------------------------------------------------

@@ -1,0 +1,286 @@
+"""The analyze pipeline: every route to a linearity verdict, run once and
+cross-checked.
+
+``analyze`` builds the report that ``linres analyze --json`` prints.  A
+quadratic ideal goes through chordality of the complement graph, the
+relabeling and the two generator conditions, a linear-quotients order, the
+Betti tables, the powers, and the Rees relations with the x-degree
+certificate; whenever theory ties two of these answers together they are
+compared, and a split raises Falsification.  Other ideals get the stages
+that need no graph: Betti tables, a searched order and the powers.
+
+Each (ideal, field) pair is scanned once: the Betti stage's checked tables
+give both the linearity verdicts and the k = 1 power record.  The other
+modules are called through their module attributes, so wrappers installed
+on them (profilers, test doubles) see every call.
+"""
+
+from __future__ import annotations
+
+import time
+
+from . import betti, graphs, monomials, quotients, rees
+from .errors import BudgetExhausted, Falsification, InputError, PreconditionError
+
+
+# ---------------------------------------------------------------------------
+# JSON pieces shared with the single-stage commands
+# ---------------------------------------------------------------------------
+
+def plain(x):
+    """Make witnesses JSON-friendly: sets become sorted lists, tuples lists."""
+    if isinstance(x, (frozenset, set)):
+        return sorted(plain(v) for v in x)
+    if isinstance(x, (tuple, list)):
+        return [plain(v) for v in x]
+    if isinstance(x, monomials.Monomial):
+        return str(x)
+    return x
+
+
+def chordality_json(verdict) -> dict:
+    if verdict.is_chordal:
+        return {"ok": True, "peo": list(verdict.peo)}
+    return {"ok": False, "chordless_cycle": list(verdict.chordless_cycle)}
+
+
+def check_json(result) -> dict:
+    return {"ok": result.ok, "witness": plain(result.witness)}
+
+
+def rees_relations(ideal: monomials.MonomialIdeal) -> tuple[rees.ToricBasis, dict]:
+    """The reduced toric basis of the Rees relations, and its JSON with the
+    x-degree certificate."""
+    basis = rees.toric_ideal_basis(ideal)
+    xrep = rees.x_degree_check(basis)
+    return basis, {
+        "groebner": basis.to_json(),
+        "x_degree": {
+            "ok": xrep.ok,
+            "max_x_degree": xrep.max_x_degree,
+            "witness": None if xrep.witness is None
+            else rees.format_binomial(xrep.witness, basis.ring.names),
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# stages
+# ---------------------------------------------------------------------------
+
+def _constructed_order(ideal, relabeled, labeling, names) -> dict:
+    """The order the conditions license, built on the relabeled ideal and
+    re-validated against the colon ideals in the input variables."""
+    order = quotients.construct_lq_order(relabeled)
+    shown = list(order)
+    iso = quotients.isolated_squares(relabeled)
+    if labeling:
+        n = ideal.n
+        shown = [monomials.Monomial(tuple(m.exps[labeling[i] - 1] for i in range(n)))
+                 for m in order]
+        inverse = {labeling[v - 1]: v for v in range(1, n + 1)}
+        iso = tuple(sorted(inverse[i] for i in iso))
+    recheck = quotients.has_linear_quotients(shown)
+    if not recheck.ok:
+        raise Falsification(
+            "constructed order fails the colon-ideal check after relabeling "
+            f"back, witness {recheck.witness}"
+        )
+    return {
+        "ok": True,
+        "via": "construction",
+        "order": [monomials.format_monomial(m, names) for m in shown],
+        "isolated_squares": list(iso),
+    }
+
+
+def _searched_order(ideal, names) -> dict:
+    try:
+        found = quotients.find_lq_order(ideal)
+    except BudgetExhausted as exc:
+        return {"ok": "unknown", "via": "search", "reason": str(exc)}
+    if found is None:
+        return {"ok": False, "via": "search"}
+    return {"ok": True, "via": "search",
+            "order": [monomials.format_monomial(m, names) for m in found]}
+
+
+def _powers(ideal, fields, max_power, tables) -> list[dict]:
+    """Power records for k = 1..max_power; k = 1 reads the Betti stage's tables."""
+    if max_power < 1:
+        raise InputError(f"max_power must be >= 1, got {max_power}")
+    records = [betti.power_record(1, ideal, fields, tables=tables)]
+    for k in range(2, max_power + 1):
+        records.append(betti.power_record(k, ideal.power(k), fields))
+        if records[-1]["linear"] is None:
+            break
+    return records
+
+
+def _check_quotients_vs_betti(lq: dict, linear: dict[str, bool]) -> None:
+    if lq["ok"] is True and not all(linear.values()):
+        raise Falsification(
+            "linear quotients order exists but some field denies a linear resolution"
+        )
+
+
+# ---------------------------------------------------------------------------
+# the pipeline
+# ---------------------------------------------------------------------------
+
+def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
+            max_power: int = 2, names: list[str] | None = None) -> dict:
+    """The cross-checked analyze report of *ideal* (JSON-ready).
+
+    *names* are the variable names used in the report (x1, x2, ... by
+    default).  Raises Falsification when two routes that must agree do not.
+    """
+    names = names if names is not None else monomials.default_names(ideal.n)
+    report: dict = {"command": "analyze", "input": monomials.ideal_to_json(ideal, names)}
+    if ideal.is_zero():
+        report["verdict"] = "zero ideal: nothing to resolve"
+        return report
+    report["degree"] = ideal.degree
+    if ideal.degree == 2:
+        return _analyze_quadratic(report, ideal, names, fields, max_power)
+
+    tables = {f.label: betti.checked_table(ideal, f) for f in fields}
+    report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
+    report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
+    if not ideal.is_equigenerated():
+        report["note"] = "mixed degrees: linearity and powers not applicable"
+        return report
+    linear = {lab: t.is_linear for lab, t in tables.items()}
+    report["linear_resolution"] = linear
+    lq = _searched_order(ideal, names)
+    if lq["ok"] == "unknown":
+        del lq["via"]  # the non-quadratic report names no route for an unknown
+    report["linear_quotients"] = lq
+    _check_quotients_vs_betti(lq, linear)
+    report["powers"] = _powers(ideal, fields, max_power, tables)
+    return report
+
+
+def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
+    timings: dict[str, float] = {}
+    report["squares"] = sorted(ideal.square_set())
+
+    # stage 1: chordality of the complement of the squarefree part's graph
+    t0 = time.perf_counter()
+    g_simple = graphs.graph_of_ideal(ideal).simple()
+    chord = graphs.is_chordal(graphs.complement(g_simple))
+    timings["chordal"] = round(time.perf_counter() - t0, 3)
+    report["complement_chordal"] = chordality_json(chord)
+
+    # stage 2: quasi-tree labeling and the generator conditions
+    labeling = None
+    relabeled = ideal
+    if chord.is_chordal:
+        # square vertices ride on top of their peel block; see dirac_labeling
+        labeling = graphs.dirac_labeling(g_simple, ideal.square_set())
+        if labeling != tuple(range(1, ideal.n + 1)):
+            relabeled = ideal.relabel(labeling)
+    report["labeling"] = list(labeling) if labeling is not None else None
+    star = graphs.check_star(relabeled)
+    star2 = graphs.check_star_star(relabeled)
+    conditions: dict = {"star": check_json(star), "star_star": check_json(star2)}
+    try:
+        fv = graphs.check_free_vertex_squares(ideal)
+        conditions["free_vertex_squares"] = {"applicable": True, **check_json(fv)}
+    except PreconditionError as exc:
+        fv = None
+        conditions["free_vertex_squares"] = {"applicable": False, "reason": str(exc)}
+    report["conditions"] = conditions
+
+    # stage 3: a linear-quotients order, by construction when the conditions
+    # license it and by exhaustive search otherwise
+    t0 = time.perf_counter()
+    if star.ok and star2.ok:
+        lq = _constructed_order(ideal, relabeled, labeling, names)
+    else:
+        lq = _searched_order(ideal, names)
+    timings["quotients"] = round(time.perf_counter() - t0, 3)
+    report["linear_quotients"] = lq
+
+    # stage 4: Betti tables, checked against the polarization when there
+    # are squares; linearity is read from them
+    t0 = time.perf_counter()
+    tables = {f.label: betti.checked_table(ideal, f) for f in fields}
+    timings["betti"] = round(time.perf_counter() - t0, 3)
+    linear = {lab: t.is_linear for lab, t in tables.items()}
+    report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
+    report["linear_resolution"] = linear
+    report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
+
+    # cross-checks between the combinatorial and homological answers
+    any_linear = any(linear.values())
+    if ideal.is_squarefree():
+        for lab, v in linear.items():
+            if v != chord.is_chordal:
+                raise Falsification(
+                    f"squarefree linearity over {lab} is {v} but complement "
+                    f"chordality is {chord.is_chordal}"
+                )
+    elif any_linear:
+        if not chord.is_chordal:
+            raise Falsification(
+                "ideal with a linear resolution whose squarefree part has a "
+                "non-chordal complement graph"
+            )
+        if fv is None:
+            raise Falsification(
+                "linear resolution but the free-vertex check was inapplicable"
+            )
+        if not fv.ok:
+            raise Falsification(
+                f"linear resolution but a square fails the free-vertex/facet "
+                f"conditions, witness {plain(fv.witness)}"
+            )
+    if any_linear and labeling is not None and not (star.ok and star2.ok):
+        raise Falsification(
+            "linear resolution but the relabeled ideal fails (*) or (**)"
+        )
+    _check_quotients_vs_betti(lq, linear)
+
+    # stage 5: powers
+    t0 = time.perf_counter()
+    records = _powers(ideal, fields, max_power, tables)
+    timings["powers"] = round(time.perf_counter() - t0, 3)
+    report["powers"] = records
+    for rec in records:
+        if not rec["linear"]:
+            continue
+        for lab, v in linear.items():
+            if v and not rec["linear"].get(lab, True):
+                raise Falsification(
+                    f"linear ideal with a non-linear power k={rec['k']} over {lab}"
+                )
+
+    # stage 6: Rees relations and the x-degree certificate, in the relabeled
+    # coordinates when a labeling exists
+    t0 = time.perf_counter()
+    _, rees_json = rees_relations(relabeled)
+    timings["rees"] = round(time.perf_counter() - t0, 3)
+    report["rees"] = {
+        "coordinates": "relabeled" if relabeled is not ideal else "input",
+        **rees_json,
+    }
+    xdeg_ok = rees_json["x_degree"]["ok"]
+    if star.ok and star2.ok and not xdeg_ok:
+        raise Falsification(
+            "(*) and (**) hold but the reduced basis has a lead of x-degree > 1"
+        )
+    if xdeg_ok:
+        for rec in records:
+            if rec["linear"] and not all(rec["linear"].values()):
+                raise Falsification(
+                    f"x-degree certificate holds but power k={rec['k']} is not linear"
+                )
+        if not all(linear.values()):
+            raise Falsification(
+                "x-degree certificate holds but the ideal itself is not linear"
+            )
+
+    report["timings"] = timings
+    report["falsifications"] = 0
+    return report

@@ -832,7 +832,11 @@ def groebner_vs_walks(basis: ToricBasis, bound: int | None = None) -> WalkCrossC
         walk = realize_walk(ring, g)
         if walk is not None:
             got = walk_to_binomial(ring, walk)
-            assert orientation_free(got) == orientation_free(g)
+            if orientation_free(got) != orientation_free(g):
+                raise Falsification(
+                    f"realized walk {walk} gives {format_binomial(got, ring.names)}, "
+                    f"not the basis element {format_binomial(g, ring.names)}"
+                )
         if walk is None or len(walk) - 1 > bound:
             missing.append(g)
         else:

@@ -11,17 +11,16 @@ from linres.betti import (
     QQ,
     BettiTable,
     FieldSpec,
+    check_polarization,
     cohomology_dims,
     hochster_oracle,
     homology_dims,
     is_linear_resolution,
     koszul_betti,
     powers_linear_report,
-    regularity,
 )
 from linres.errors import (
     Falsification,
-    InconclusiveWindow,
     InputError,
     ResourceGuard,
 )
@@ -132,19 +131,11 @@ class TestKoszulBetti:
             (0, 3): 10, (1, 4): 15, (2, 5): 6, (2, 6): 1, (3, 6): 1,
         }
 
-    def test_window_truncation_is_loud(self):
-        ideal = ideal_of(4, (1, 2), (3, 4))
-        table = koszul_betti(ideal, QQ, window=(2, 3))
-        assert not table.complete
-        with pytest.raises(InconclusiveWindow):
-            table.regularity
-        with pytest.raises(InconclusiveWindow):
-            table.is_linear
-
-    def test_violation_in_window_answers_false(self):
-        ideal = ideal_of(4, (1, 2), (3, 4))
-        table = koszul_betti(ideal, QQ, window=(2, 4))
-        assert table.is_linear is False
+    def test_more_than_64_variables(self):
+        # strand faces are vertex bitmasks; x70 sits above bit 63
+        wide = ideal_of(70, (1, 2), (1, 70), (2, 70))
+        triangle = ideal_of(3, (1, 2), (1, 3), (2, 3))
+        assert koszul_betti(wide, QQ).entries == koszul_betti(triangle, QQ).entries
 
     def test_resource_guard(self):
         with pytest.raises(ResourceGuard):
@@ -212,8 +203,8 @@ class TestVerdicts:
             is_linear_resolution(mixed)
 
     def test_regularity_examples(self):
-        assert regularity(ideal_of(2, (1, 2))) == 2
-        assert regularity(ideal_of(4, (1, 2), (3, 4))) == 3
+        assert koszul_betti(ideal_of(2, (1, 2))).regularity == 2
+        assert koszul_betti(ideal_of(4, (1, 2), (3, 4))).regularity == 3
 
     def test_generator_count_in_degree_row(self):
         for ideal in (sturmfels_ideal(), ideal_of(3, (1, 1), (1, 2))):
@@ -239,6 +230,12 @@ class TestPolarizationInvariance:
     def test_linearity_via_polarization_is_cross_checked(self):
         # the verdict path computes both tables and insists they agree
         assert is_linear_resolution(ideal_of(2, (1, 1), (1, 2), (2, 2)))
+
+    def test_split_from_polarization_is_a_falsification(self):
+        ideal = ideal_of(2, (1, 1), (1, 2), (2, 2))
+        wrong = koszul_betti(ideal_of(4, (1, 2), (3, 4)), QQ)
+        with pytest.raises(Falsification):
+            check_polarization(ideal, wrong)
 
 
 class TestPowers:

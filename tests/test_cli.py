@@ -119,10 +119,6 @@ class TestAnalyze:
         assert "linear resolution: Q: yes, GF(2): yes" in out
         assert "cross-checks: all consistent" in out
 
-    def test_seed_is_echoed(self, capsys, k3):
-        rc, report = run_json(capsys, "analyze", k3, "--seed", "5")
-        assert rc == 0 and report["seed"] == 5
-
     def test_deterministic_output(self, capsys, msq):
         def scrub(obj):
             if isinstance(obj, dict):
@@ -140,6 +136,34 @@ class TestAnalyze:
         rc, report = run_json(capsys, "analyze", k3, "--field", "Q,GF:3")
         assert rc == 0
         assert set(report["linear_resolution"]) == {"Q", "GF(3)"}
+
+
+class TestScanCount:
+    @pytest.mark.parametrize("fixture, scans", [
+        ("k3", 4),   # I and I^2, over Q and GF(2)
+        ("msq", 6),  # I and its polarization, and I^2, over Q and GF(2)
+    ])
+    def test_each_ideal_and_field_scanned_once(self, capsys, monkeypatch, request,
+                                               fixture, scans):
+        import linres.betti as betti_mod
+
+        original = betti_mod.koszul_betti
+        seen = []
+
+        def counting(ideal, field, *args, **kwargs):
+            seen.append((ideal, field))
+            return original(ideal, field, *args, **kwargs)
+
+        # every linres namespace that holds the function, however it was imported
+        for name, mod in list(sys.modules.items()):
+            if (name == "linres" or name.startswith("linres.")) \
+                    and getattr(mod, "koszul_betti", None) is original:
+                monkeypatch.setattr(mod, "koszul_betti", counting)
+        rc, _ = run_json(capsys, "analyze", request.getfixturevalue(fixture),
+                         "--max-power", "2")
+        assert rc == 0
+        assert len(seen) == scans
+        assert len(set(seen)) == scans
 
 
 class TestBetti:

@@ -317,6 +317,20 @@ class TestGroebnerVsWalks:
         assert not cross.bound_sufficient
         assert len(cross.missing) == 3
 
+    def test_wrong_walk_binomial_is_a_falsification(self, monkeypatch):
+        import linres.rees as rees_mod
+
+        basis = toric_ideal_basis(m_squared())
+        right = rees_mod.walk_to_binomial
+
+        def wrong(ring, walk):
+            b = right(ring, walk)
+            return Binomial(b.lead, tuple(e + 1 for e in b.tail))
+
+        monkeypatch.setattr(rees_mod, "walk_to_binomial", wrong)
+        with pytest.raises(Falsification):
+            groebner_vs_walks(basis)
+
     def test_dense_instance_is_fast(self):
         # intractable for walk enumeration; realization handles it
         ideal = ideal_of(5, *itertools.combinations(range(1, 6), 2))
