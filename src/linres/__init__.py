@@ -85,7 +85,6 @@ from .rees import (
     orientation_free,
     realize_walk,
     walk_to_binomial,
-    integer_kernel,
     reduced_groebner,
     toric_basis_by_elimination,
     toric_ideal_basis,

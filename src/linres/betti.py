@@ -359,11 +359,12 @@ def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ,
     return checked_table(ideal, field, multidegree_cap).is_linear
 
 
-POWER_MULTIDEGREE_CAP = 2_000_000
+# the multidegree cap of every Koszul scan the command line starts
+MULTIDEGREE_CAP = 2_000_000
 
 
 def power_record(k: int, power: MonomialIdeal, fields,
-                 multidegree_cap: int | None = POWER_MULTIDEGREE_CAP,
+                 multidegree_cap: int | None = MULTIDEGREE_CAP,
                  tables: dict[str, BettiTable] | None = None) -> dict:
     """The linearity record of one power I^k.
 
@@ -390,7 +391,7 @@ def powers_linear_report(
     ideal: MonomialIdeal,
     fields=(QQ, GF2),
     max_power: int = 2,
-    multidegree_cap: int | None = POWER_MULTIDEGREE_CAP,
+    multidegree_cap: int | None = MULTIDEGREE_CAP,
 ) -> list[dict]:
     """Per-power linearity records (see power_record) for I, I^2, ..., I^max_power.
 

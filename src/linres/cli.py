@@ -4,7 +4,7 @@ Seven subcommands over JSON ideal/graph files: `analyze` prints the
 cross-checked report of linres.pipeline, the rest expose the individual
 stages.  Exit codes: 0 for a completed run (negative verdicts included),
 2 for input or resource problems, 3 when two routes that must agree
-disagree.
+disagree or any other internal error escapes.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import pipeline
-from .betti import GF2, QQ, FieldSpec, koszul_betti, powers_linear_report
+from .betti import GF2, MULTIDEGREE_CAP, QQ, FieldSpec, koszul_betti, powers_linear_report
 from .errors import (
     BudgetExhausted,
     Falsification,
@@ -35,7 +36,6 @@ from .monomials import MonomialIdeal, format_monomial, ideal_from_json, ideal_to
 from .pipeline import check_json, chordality_json
 from .quotients import construct_lq_order, find_lq_order, has_linear_quotients, isolated_squares
 from .rees import (
-    ReesRing,
     enumerate_primitive_even_walks,
     format_binomial,
     groebner_vs_walks,
@@ -205,7 +205,7 @@ def cmd_betti(args) -> tuple[dict, list[str]]:
     report = {"command": "betti", "input": ideal_to_json(ideal, names), "tables": {}}
     lines = [f"ideal: {_ideal_blurb(ideal)}"]
     for f in fields:
-        table = report["tables"][f.label] = koszul_betti(ideal, f).to_json()
+        table = report["tables"][f.label] = koszul_betti(ideal, f, MULTIDEGREE_CAP).to_json()
         lines.extend(_table_lines(f.label, table))
     return report, lines
 
@@ -324,13 +324,11 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
 
 def cmd_walks(args) -> tuple[dict, list[str]]:
     ideal, names = ideal_from_json(_load_json(args.ideal))
-    ring = ReesRing.from_ideal(ideal)
-    bound = args.walk_bound if args.walk_bound is not None else 2 * ring.num_vars
-    sufficient = bound >= 2 * (ring.n + 1)
+    basis = toric_ideal_basis(ideal)
+    cross = groebner_vs_walks(basis, args.walk_bound)
+    ring, bound, sufficient = basis.ring, cross.bound, cross.bound_sufficient
     primitive = enumerate_primitive_even_walks(ring, bound)
     primitive.sort(key=lambda w: (len(w.walk), w.walk))
-    basis = toric_ideal_basis(ideal)
-    cross = groebner_vs_walks(basis, bound)
     report = {
         "command": "walks",
         "input": ideal_to_json(ideal, names),
@@ -456,6 +454,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
     if args.json:
         print(json.dumps(report, indent=2))
     else:

@@ -144,7 +144,7 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
     if ideal.degree == 2:
         return _analyze_quadratic(report, ideal, names, fields, max_power)
 
-    tables = {f.label: betti.checked_table(ideal, f) for f in fields}
+    tables = {f.label: betti.checked_table(ideal, f, betti.MULTIDEGREE_CAP) for f in fields}
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
     report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
     if not ideal.is_equigenerated():
@@ -205,7 +205,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     # stage 4: Betti tables, checked against the polarization when there
     # are squares; linearity is read from them
     t0 = time.perf_counter()
-    tables = {f.label: betti.checked_table(ideal, f) for f in fields}
+    tables = {f.label: betti.checked_table(ideal, f, betti.MULTIDEGREE_CAP) for f in fields}
     timings["betti"] = round(time.perf_counter() - t0, 3)
     linear = {lab: t.is_linear for lab, t in tables.items()}
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}

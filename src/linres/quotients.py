@@ -168,13 +168,13 @@ def find_lq_order(
 ) -> tuple[Monomial, ...] | None:
     """Search all generator orders for one with linear quotients.
 
-    Depth-first with two prunes: a generator is only appended when its
-    colon by the current prefix is variable-generated, and dead prefix
-    SETS are memoized (whether a next generator can extend depends on
-    the set of chosen generators, not their order, so one failed set
-    need never be revisited).  Each appended node costs one unit of
-    budget; BudgetExhausted is raised when it runs out, so None means
-    a definitive no.
+    Depth-first on an explicit stack, with two prunes: a generator is
+    only appended when its colon by the current prefix is
+    variable-generated, and dead prefix SETS are memoized (whether a
+    next generator can extend depends on the set of chosen generators,
+    not their order, so one failed set need never be revisited).  Each
+    appended node costs one unit of budget; BudgetExhausted is raised
+    when it runs out, so None means a definitive no.
     """
     gens = list(ideal.gens)
     m = len(gens)
@@ -190,30 +190,32 @@ def find_lq_order(
         variables = [w for w in quotients if w.degree == 1]
         return all(any(w.divides(q) for w in variables) for q in quotients)
 
-    def dfs() -> bool:
-        nonlocal nodes, chosen
+    # nxt[d]: the generator index to try next at depth d, 0 on entry; the
+    # generator appended at depth d is gens[nxt[d] - 1]
+    nxt = [0]
+    while nxt:
         if len(order) == m:
-            return True
-        if chosen in dead:
-            return False
-        for idx in range(m):
-            bit = 1 << idx
-            if chosen & bit:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExhausted(
-                    f"order search exceeded {budget} nodes on {m} generators"
-                )
-            if not can_append(gens[idx]):
-                continue
+            return tuple(order)
+        idx = m if nxt[-1] == 0 and chosen in dead else nxt[-1]
+        while idx < m:
+            if not chosen >> idx & 1:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExhausted(
+                        f"order search exceeded {budget} nodes on {m} generators"
+                    )
+                if can_append(gens[idx]):
+                    break
+            idx += 1
+        if idx < m:
+            nxt[-1] = idx + 1
+            nxt.append(0)
             order.append(gens[idx])
-            chosen |= bit
-            if dfs():
-                return True
-            chosen &= ~bit
-            order.pop()
+            chosen |= 1 << idx
+            continue
         dead.add(chosen)
-        return False
-
-    return tuple(order) if dfs() else None
+        nxt.pop()
+        if nxt:
+            chosen &= ~(1 << (nxt[-1] - 1))
+            order.pop()
+    return None

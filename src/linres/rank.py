@@ -79,16 +79,36 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_prime(p: int) -> bool:
+    """Miller-Rabin over the prime bases up to 37.
+
+    A "composite" answer is always exact, a "prime" answer below
+    _MR_EXACT_BELOW; beyond it, InputError is raised instead.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
+    if p >= _MR_EXACT_BELOW:
+        raise InputError(f"cannot decide exactly whether {p} is prime: "
+                         f"the modulus must be below {_MR_EXACT_BELOW}")
     return True

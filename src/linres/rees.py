@@ -7,10 +7,11 @@ for each ring variable.  The presentation ideal in
 T = K[x_1..x_n, y_e : e generator] is the toric ideal of the exponent
 matrix whose columns are x_i -> e_i + e_{n+1} and y_(a,b) -> e_a + e_b.
 
-The pipeline: integer kernel of that matrix (a lattice basis, saturated
-for free because kernels of integer matrices are pure subgroups), then
-saturation by every variable via the reverse-lex trick for homogeneous
-ideals, then the reduced Groebner basis under the requested order.
+The pipeline: a lattice basis read off the cone graph (one binomial
+y_e x_a0 x_b0 - y_e0 x_a x_b per generator edge e other than the first
+edge e0 = (a0, b0)), saturation by x_a0 and x_b0 via the reverse-lex
+trick for homogeneous ideals, then the reduced Groebner basis under the
+requested order.
 
 Everything is pure-difference binomial arithmetic on exponent tuples;
 no general polynomial type is needed.  Two independent cross-checks
@@ -39,10 +40,6 @@ def _vsub(a, b):
 
 def _vmax(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _vmin(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def _divides(a, b):
@@ -155,6 +152,27 @@ class ReesRing:
             cols.append(tuple(col))
         return cols
 
+    def lattice_basis(self) -> list[Binomial]:
+        """A basis of the kernel lattice of the exponent matrix.
+
+        With e0 = (a0, b0) the first generator edge, one binomial
+        y_e x_a0 x_b0 - y_e0 x_a x_b for every other edge e = (a, b), common
+        factors cancelled.  Both sides map to e_a + e_b + e_a0 + e_b0 + 2e_{n+1}.
+        Subtracting multiples of these from any kernel vector leaves one
+        supported on x_1..x_n and y_e0, whose columns are linearly
+        independent, so it is zero.
+        """
+        if not self.edges:
+            return []
+        a0, b0 = self.edges[0]
+        out = []
+        for y, (a, b) in enumerate(self.edges[1:], start=self.n + 1):
+            w = [0] * self.num_vars
+            for v, sign in ((y, 1), (a0 - 1, 1), (b0 - 1, 1), (self.n, -1), (a - 1, -1), (b - 1, -1)):
+                w[v] += sign
+            out.append(binomial_from_vector(w))
+        return out
+
     def edge_lex(self) -> TermOrder:
         """Lex with y-variables first (ascending edge), then x_1..x_n."""
         ranking = tuple(range(self.n, self.num_vars)) + tuple(range(self.n))
@@ -178,62 +196,6 @@ def format_monomial_t(exps, names) -> str:
 
 def format_binomial(b: Binomial, names) -> str:
     return f"{format_monomial_t(b.lead, names)} - {format_monomial_t(b.tail, names)}"
-
-
-# ---------------------------------------------------------------------------
-# integer kernel
-# ---------------------------------------------------------------------------
-
-def integer_kernel(rows: list[list[int]]) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel lattice of a matrix (rows of ints).
-
-    Column reduction by unimodular operations, tracking the transform;
-    the columns of the transform that hit zero columns of the reduced
-    matrix form a basis.  The kernel of a map into a torsion-free group
-    is a pure subgroup, so this basis generates all integer solutions.
-    """
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul(i, j, q):
-        # column_i -= q * column_j
-        for row in m:
-            row[i] -= q * row[j]
-        for row in u:
-            row[i] -= q * row[j]
-
-    front = 0
-    for r in range(nrows):
-        if front == ncols:
-            break
-        while True:
-            nz = [j for j in range(front, ncols) if m[r][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(m[r][j]), j))
-            if j0 != front:
-                swap(j0, front)
-            clean = True
-            for j in range(front + 1, ncols):
-                if m[r][j] != 0:
-                    q = m[r][j] // m[r][front]
-                    addmul(j, front, q)
-                    if m[r][j] != 0:
-                        clean = False
-            if clean:
-                break
-        if m[r][front] != 0:
-            front += 1
-    return [tuple(u[i][j] for i in range(ncols)) for j in range(front, ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +421,31 @@ def toric_ideal_basis(
 ) -> ToricBasis:
     """Reduced Groebner basis of the Rees presentation ideal of I.
 
-    Lattice basis from the integer kernel, saturation by every variable
-    in turn, reduced basis under *order* (edge-lex by default).  The
-    result is certified two ways before being returned: every element
-    must vanish under the monomial map, and Hilbert function counts must
-    agree up to *hilbert_degree*.  Failures there raise Falsification.
+    The lattice basis of the cone graph (ReesRing.lattice_basis),
+    saturated by the two variables of its first generator edge, then the
+    reduced basis under *order* (edge-lex by default).  The result is
+    certified two ways before being returned: every element must vanish
+    under the monomial map, and Hilbert function counts must agree up to
+    *hilbert_degree*.  Failures there raise Falsification.
     """
     ring = ReesRing.from_ideal(ideal)
-    rows = [
-        [col[r] for col in ring.columns()] for r in range(ring.n + 1)
-    ]
-    gens = [b for w in integer_kernel(rows) if (b := binomial_from_vector(w))]
+    gens = ring.lattice_basis()
     for g in gens:
         if sum(g.lead) != sum(g.tail):
-            raise Falsification(f"kernel vector is not homogeneous: {g}")
-    for v in range(ring.num_vars):
-        gens = _saturate_variable(gens, ring, v, budget_limit)
+            raise Falsification(f"lattice binomial is not homogeneous: {g}")
+    # Let J be the ideal of the lattice basis, I_A the toric ideal and
+    # u = x_a0 x_b0 for the first edge e0 = (a0, b0); then J : u^inf = I_A.
+    # J : u^inf lies in I_A, because J does, I_A is prime and u is not in it.
+    # I_A lies in J : u^inf, because inverting u solves every lattice
+    # binomial for its y_e: T_u / J_u is a localisation of K[x, y_e0], and
+    # the monomial map is injective there, since the columns of x_1..x_n
+    # and y_e0 are linearly independent.  Saturating by u is saturating by
+    # x_b0 and then by x_a0 (once for a loop); with at most one edge J = 0.
+    # Taking x_b0 first halved the time on complements of paths and cycles.
+    if gens:
+        a0, b0 = ring.edges[0]
+        for v in sorted({a0 - 1, b0 - 1}, reverse=True):
+            gens = _saturate_variable(gens, ring, v, budget_limit)
     if order is None:
         order = ring.edge_lex()
     reduced = reduced_groebner(gens, order, budget_limit)

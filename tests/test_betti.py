@@ -25,6 +25,7 @@ from linres.errors import (
     ResourceGuard,
 )
 from linres.graphs import edge_ideal
+from linres.rank import is_prime
 from linres.monomials import Monomial, MonomialIdeal
 
 
@@ -41,6 +42,28 @@ class TestFieldSpec:
             FieldSpec.parse("R")
         with pytest.raises(InputError):
             FieldSpec(4)
+
+
+class TestIsPrime:
+    def test_mersenne_61_accepted_fast(self):
+        assert is_prime(2**61 - 1)
+        assert FieldSpec.parse("GF:2305843009213693951").p == 2**61 - 1
+
+    @pytest.mark.parametrize("p", [561, (2**31 - 1) * (2**61 - 1)])
+    def test_composites_rejected(self, p):
+        assert not is_prime(p)
+        with pytest.raises(InputError):
+            FieldSpec(p)
+
+    def test_matches_trial_division_below_ten_thousand(self):
+        def trial(p):
+            return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
+
+        assert all(is_prime(p) == trial(p) for p in range(10_000))
+
+    def test_probable_prime_beyond_the_exact_range_is_an_input_error(self):
+        with pytest.raises(InputError):
+            is_prime(2**89 - 1)
 
 
 class TestHomologyOraclePair:

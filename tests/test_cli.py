@@ -295,6 +295,29 @@ class TestExitCodes:
         rc, out, err = run(capsys, "analyze", k3, "--field", "R")
         assert rc == 2 and "cannot parse field" in err
 
+    def test_modulus_beyond_exact_primality_exits_two(self, capsys, k3):
+        rc, out, err = run(capsys, "analyze", k3, "--field", "GF:1000000000000000000000007")
+        assert rc == 2 and "error:" in err
+
+    @pytest.mark.parametrize("command", ["betti", "analyze"])
+    def test_koszul_scan_is_capped(self, capsys, tmp_path, command):
+        path = write_ideal(tmp_path, "big.json", ["a", "b"], ["a^50000", "b^50000"])
+        rc, out, err = run(capsys, command, path)
+        assert rc == 2
+        assert "candidate multidegrees exceed the cap 2000000" in err
+
+    def test_unexpected_exception_exits_three(self, capsys, monkeypatch, k3):
+        import linres.cli as cli_mod
+
+        def boom(*a, **k):
+            raise KeyError("planted for the dispatcher test")
+
+        monkeypatch.setattr(cli_mod, "koszul_betti", boom)
+        rc, out, err = run(capsys, "betti", k3)
+        assert rc == 3
+        assert err.startswith("internal error:")
+        assert "Traceback" in err and "KeyError" in err
+
     def test_falsification_exits_three(self, capsys, monkeypatch, k3):
         import linres.cli as cli_mod
 

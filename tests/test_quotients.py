@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -138,6 +139,19 @@ class TestFindOrder:
 
     def test_single_generator(self):
         assert find_lq_order(ideal_of(2, (1, 2))) == (mono(2, 1, 2),)
+
+    def test_deep_search_needs_no_recursion(self):
+        # all 220 cubics in 10 variables: one search level per generator
+        cubics = ideal_of(10, *itertools.combinations_with_replacement(range(1, 11), 3))
+        assert cubics.num_gens == 220
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            order = find_lq_order(cubics)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert order is not None and len(order) == 220
+        assert has_linear_quotients(order)
 
 
 class TestQuotientsImplyLinearity:

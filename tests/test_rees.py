@@ -27,6 +27,8 @@ from linres.rees import (
 )
 
 C4_IDEAL = ideal_of(4, (1, 2), (2, 3), (3, 4), (1, 4))
+# the complement of the 5-cycle 1-2-3-4-5-1
+CO_C5 = ideal_of(5, (1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
 
 
 def unit(ring, name):
@@ -103,12 +105,11 @@ class TestToricBasis:
         assert toric_ideal_basis(MonomialIdeal(3, ())).elements == ()
 
     def test_elimination_oracle_agrees(self):
-        for ideal in (
-            m_squared(),
-            ideal_of(3, (1, 2), (2, 3)),
-            ideal_of(3, (1, 2), (1, 3), (2, 3)),
-            ideal_of(3, (1, 1), (1, 2), (2, 3)),
-        ):
+        # every nonzero quadratic ideal with n <= 3, and a sample with n = 4
+        small = list(itertools.chain(squarefree_corpus(3), square_corpus(3)))
+        assert len(small) == 71 and not any(i.is_zero() for i in small)
+        n4 = [i for i in itertools.chain(squarefree_corpus(4), square_corpus(4)) if i.n == 4]
+        for ideal in small + random.Random(2026).sample(n4, 10):
             fast = toric_ideal_basis(ideal)
             slow = toric_basis_by_elimination(ideal)
             assert {orientation_free(g) for g in fast.elements} == {
@@ -141,6 +142,53 @@ class TestToricBasis:
         blob = toric_ideal_basis(m_squared()).to_json()
         assert {"order", "elements"} <= set(blob)
         assert all({"plus", "minus", "deg_x", "deg_y"} <= set(e) for e in blob["elements"])
+
+
+class TestLatticeBasis:
+    @pytest.mark.parametrize("ideal", [m_squared(), C4_IDEAL, CO_C5, ideal_of(3, (1, 3), (2, 2))])
+    def test_one_binomial_per_other_edge_in_the_kernel(self, ideal):
+        ring = ReesRing.from_ideal(ideal)
+        cols = ring.columns()
+        basis = ring.lattice_basis()
+        assert len(basis) == len(ring.edges) - 1
+        for g in basis:
+            image = [sum(w * col[r] for w, col in zip(g.vector(), cols))
+                     for r in range(ring.n + 1)]
+            assert not any(image)
+            assert g.coprime_sides()
+
+    def test_loop_first_edge(self):
+        ring = ReesRing.from_ideal(m_squared())
+        assert ring.edges[0] == (1, 1)
+        # y[1,2] x1^2 - y[1,1] x1 x2 cancels to y[1,2] x1 - y[1,1] x2
+        assert orientation_free(ring.lattice_basis()[0]) == orientation_free(
+            named_binomial(ring, ("y[1,2]", "x1"), ("y[1,1]", "x2"))
+        )
+
+    def test_at_most_one_edge_gives_none(self):
+        assert ReesRing.from_ideal(ideal_of(2, (1, 2))).lattice_basis() == []
+        assert ReesRing.from_ideal(MonomialIdeal(3, ())).lattice_basis() == []
+
+
+class TestSaturationCount:
+    @pytest.mark.parametrize("ideal, saturations", [
+        (C4_IDEAL, 2),     # first edge (1, 2): x2, then x1
+        (m_squared(), 1),  # first edge the loop (1, 1): x1 only
+        (CO_C5, 2),
+    ])
+    def test_two_saturations_at_most(self, monkeypatch, ideal, saturations):
+        import linres.rees as rees_mod
+
+        original = rees_mod._saturate_variable
+        seen = []
+
+        def counting(gens, ring, v, budget_limit):
+            seen.append(v)
+            return original(gens, ring, v, budget_limit)
+
+        monkeypatch.setattr(rees_mod, "_saturate_variable", counting)
+        toric_ideal_basis(ideal)
+        assert len(seen) == saturations
 
 
 class TestReducedGroebner:
