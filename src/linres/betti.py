@@ -9,8 +9,13 @@ is the chain complex of the simplicial complex
 whose facets are the maximal sets {v : a_v > g_v} over generators g
 dividing x^a.  Summing dim H~_{i-1}(K_a) over all multidegrees a of
 total degree j gives beta_{i,j}.  Nonzero Betti numbers only occur in
-multidegrees bounded by the lcm of the generators, so scanning the box
-below that lcm computes the full table with no truncation.
+multidegrees bounded by the lcm of the generators, so walking the box
+below that lcm computes the full table with no truncation.  The walk
+takes homology only where it can be nonzero: it skips multidegrees
+outside the ideal (K_a is void), multidegrees that are not the lcm of
+the generators dividing them (off the LCM lattice, where K_a is a cone),
+and strands whose facets share a vertex (again a cone).  A cone has no
+reduced homology over any field, so the skips leave the table exact.
 
 The independent cross-check for squarefree ideals reads the same table
 from the other side: beta_{i,j}(I) is the sum over j-element vertex
@@ -24,7 +29,9 @@ elimination over GF(p).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -220,20 +227,28 @@ def _faces_from_facets(facet_masks: list[int]) -> list[frozenset[int]]:
 # Koszul strand computation
 # ---------------------------------------------------------------------------
 
-def _strand_complex_facets(gens_exps: list[tuple[int, ...]], a: tuple[int, ...]) -> list[int] | None:
-    """Facet bitmasks of K_a, or None when x^a is not in the ideal."""
-    masks = []
-    for g in gens_exps:
-        if all(ge <= av for ge, av in zip(g, a)):
-            mask = 0
-            for v, (ge, av) in enumerate(zip(g, a)):
-                if av > ge:
-                    mask |= 1 << v
-            masks.append(mask)
-    if not masks:
-        return None
-    masks = sorted(set(masks))
-    maximal = [m for m in masks if not any(m != other and m & other == m for other in masks)]
+def _maximal_facets(divisors: int, gens_exps: list[tuple[int, ...]],
+                    a: list[int]) -> list[int]:
+    """Facet bitmasks of K_a from the bitset of generators dividing x^a.
+
+    Generator g contributes the face {v : a_v > g_v}; only the maximal
+    ones are kept.
+    """
+    support = [v for v, av in enumerate(a) if av]
+    masks = set()
+    while divisors:
+        low = divisors & -divisors
+        g = gens_exps[low.bit_length() - 1]
+        divisors ^= low
+        mask = 0
+        for v in support:
+            if a[v] > g[v]:
+                mask |= 1 << v
+        masks.add(mask)
+    maximal: list[int] = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(mask & big == mask for big in maximal):
+            maximal.append(mask)
     return maximal
 
 
@@ -244,15 +259,21 @@ def koszul_betti(
 ) -> BettiTable:
     """The graded Betti table of a nonzero monomial ideal.
 
-    Scans every multidegree below the lcm of the generators (the region
-    that can carry nonzero Betti numbers) and accumulates strand homology.
-    ``multidegree_cap`` aborts with ResourceGuard when the scan box holds
-    more multidegrees than the cap.
+    Walks the box below the lcm of the generators (the region that can
+    carry nonzero Betti numbers) and accumulates strand homology, but
+    computes homology only where it can be nonzero.  A multidegree a is
+    skipped when x^a is not in the ideal (K_a is void), when a is not
+    the lcm of the generators dividing x^a (it lies outside the LCM
+    lattice, and K_a is a cone), and when the facets of K_a share a
+    vertex (K_a is a cone).  ``multidegree_cap`` aborts with
+    ResourceGuard when the whole box holds more multidegrees than the
+    cap, before anything is scanned.
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
     gens_exps = [g.exps for g in ideal.gens]
-    maxvec = tuple(max(g[v] for g in gens_exps) for v in range(ideal.n))
+    n = ideal.n
+    maxvec = tuple(max(g[v] for g in gens_exps) for v in range(n))
     box = 1
     for e in maxvec:
         box *= e + 1
@@ -261,17 +282,62 @@ def koszul_betti(
             f"{box} candidate multidegrees exceed the cap {multidegree_cap}"
         )
 
+    # le[v][t]: bitset of the generators whose exponent of x_v is at most t;
+    # exact[v][t]: those whose exponent of x_v is exactly t
+    le: list[list[int]] = []
+    exact: list[list[int]] = []
+    for v in range(n):
+        at = [0] * (maxvec[v] + 1)
+        for i, g in enumerate(gens_exps):
+            at[g[v]] |= 1 << i
+        exact.append(at)
+        le.append(list(itertools.accumulate(at, operator.or_)))
+
+    # Why the skips are exact.  K_a is the complex of the face masks
+    # {v : a_v > g_v} over the generators g dividing x^a; these g form the
+    # bitset D = AND_v le[v][a_v].  D empty means x^a is not in I and K_a
+    # is void, with no faces at all.  If some v with a_v > 0 has no g in D
+    # with g_v = a_v (D & exact[v][a_v] empty), then v lies in every face
+    # mask.  More generally, if the maximal facets of K_a share a vertex v,
+    # then sigma | {v} is a face for every face sigma.  Either way K_a is a
+    # cone with apex v, which is contractible, so its reduced homology
+    # vanishes over every field and the strand adds nothing to the table.
+    # The complex {emptyset} (a equal to a generator, facets [0]) shares no
+    # vertex and still gives beta_0.  The walk fixes a_0, a_1, ... in turn
+    # and D only shrinks as coordinates are fixed, so when the first two
+    # tests fail on a prefix they fail for every completion of it, and the
+    # walk skips the whole subtree.  It visits the live multidegrees in
+    # the lexicographic order of the box.
     entries: dict[tuple[int, int], int] = {}
-    for a in itertools.product(*(range(e + 1) for e in maxvec)):
-        facets = _strand_complex_facets(gens_exps, a)
-        if facets is None:
+    # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
+    a = [-1] * n
+    divisors = [(1 << len(gens_exps)) - 1] + [0] * n
+    v = 0
+    while v >= 0:
+        if v == n:
+            facets = _maximal_facets(divisors[n], gens_exps, a)
+            if not functools.reduce(operator.and_, facets):
+                dims = homology_dims(_faces_from_facets(facets), field)
+                j = sum(a)
+                for k, h in dims.items():
+                    i = k + 1
+                    if i >= 0:
+                        entries[(i, j)] = entries.get((i, j), 0) + h
+            v -= 1
             continue
-        dims = homology_dims(_faces_from_facets(facets), field)
-        j = sum(a)
-        for k, h in dims.items():
-            i = k + 1
-            if i >= 0:
-                entries[(i, j)] = entries.get((i, j), 0) + h
+        t = a[v] + 1
+        while t <= maxvec[v]:
+            d = divisors[v] & le[v][t]
+            if d and (t == 0 or d & exact[v][t]):
+                break
+            t += 1
+        if t > maxvec[v]:
+            a[v] = -1
+            v -= 1
+            continue
+        a[v] = t
+        divisors[v + 1] = d
+        v += 1
     return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
 
 

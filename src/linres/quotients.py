@@ -186,9 +186,13 @@ def find_lq_order(
     dead: set[int] = set()
 
     def can_append(v: Monomial) -> bool:
-        quotients = [u / u.gcd(v) for u in order]
-        variables = [w for w in quotients if w.degree == 1]
-        return all(any(w.divides(q) for w in variables) for q in quotients)
+        # u / gcd(u, v) on exponent tuples; a degree-one quotient is a
+        # variable x_k, and x_k divides q iff q_k > 0
+        vexps = v.exps
+        quotients = [tuple(ue - ve if ue > ve else 0 for ue, ve in zip(u.exps, vexps))
+                     for u in order]
+        variables = {q.index(1) for q in quotients if sum(q) == 1}
+        return all(any(q[k] for k in variables) for q in quotients)
 
     # nxt[d]: the generator index to try next at depth d, 0 on entry; the
     # generator appended at depth d is gens[nxt[d] - 1]

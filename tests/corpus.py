@@ -4,8 +4,9 @@ Everything here is deliberately dumb and independent of the library's
 clever paths, so it can serve as cross-check material.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
+from linres.betti import BettiTable, homology_dims
 from linres.graphs import Graph
 from linres.monomials import Monomial, MonomialIdeal, ideal_from_strings
 
@@ -116,3 +117,33 @@ def brute_chordless_cycle_exists(graph: Graph) -> bool:
                 if len(seen) == r:
                     return True
     return False
+
+
+def brute_strand_facets(ideal: MonomialIdeal, a) -> list[frozenset]:
+    """One face {v : a_v > g_v} of K_a per generator g dividing x^a (1-based)."""
+    return [
+        frozenset(v + 1 for v in range(ideal.n) if a[v] > g.exps[v])
+        for g in ideal.gens
+        if all(ge <= av for ge, av in zip(g.exps, a))
+    ]
+
+
+def brute_koszul_betti(ideal: MonomialIdeal, field) -> BettiTable:
+    """The Koszul Betti table by a full scan of the box below the lcm.
+
+    Every multidegree a gets its per-generator facet list and the
+    homology of all their subsets, with no skip of any kind.
+    """
+    box = [range(max(g.exps[v] for g in ideal.gens) + 1) for v in range(ideal.n)]
+    entries: dict = {}
+    for a in product(*box):
+        faces = {
+            frozenset(sub)
+            for facet in brute_strand_facets(ideal, a)
+            for r in range(len(facet) + 1)
+            for sub in combinations(sorted(facet), r)
+        }
+        for k, h in homology_dims(faces, field).items():
+            key = (k + 1, sum(a))
+            entries[key] = entries.get(key, 0) + h
+    return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)

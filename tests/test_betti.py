@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import all_graphs, ideal_of, square_corpus, sturmfels_ideal, terai_ideal
+from corpus import (
+    all_graphs,
+    brute_koszul_betti,
+    brute_strand_facets,
+    ideal_of,
+    square_corpus,
+    sturmfels_ideal,
+    terai_ideal,
+)
 from linres.betti import (
     GF2,
     QQ,
@@ -24,7 +32,7 @@ from linres.errors import (
     InputError,
     ResourceGuard,
 )
-from linres.graphs import edge_ideal
+from linres.graphs import complement, edge_ideal, graph_of_ideal, is_chordal
 from linres.rank import is_prime
 from linres.monomials import Monomial, MonomialIdeal
 
@@ -165,6 +173,63 @@ class TestKoszulBetti:
             koszul_betti(terai_ideal(), QQ, multidegree_cap=3)
 
 
+GF3 = FieldSpec(3)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Nonzero ideals in n <= 4 variables, with squares and mixed degrees."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = draw(st.lists(exps, min_size=1, max_size=6))
+    return MonomialIdeal(n, tuple(Monomial(e) for e in gens))
+
+
+class TestKoszulAgainstBruteForce:
+    """koszul_betti skips multidegrees; the brute-force scan skips none."""
+
+    @given(monomial_ideals())
+    @settings(max_examples=80, deadline=None)
+    def test_random_ideals(self, ideal):
+        for field in (QQ, GF2, GF3):
+            assert koszul_betti(ideal, field).entries == \
+                brute_koszul_betti(ideal, field).entries
+
+    @pytest.mark.parametrize("build", [sturmfels_ideal, terai_ideal])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_powers(self, build, k):
+        power = build().power(k)
+        for field in (QQ, GF2, GF3):
+            assert koszul_betti(power, field).entries == \
+                brute_koszul_betti(power, field).entries
+
+    def test_homology_only_on_non_cone_strands(self, monkeypatch):
+        import linres.betti as betti_mod
+
+        power = terai_ideal().power(2)
+        calls = []
+        original = betti_mod.homology_dims
+
+        def counting(faces, field):
+            calls.append(len(faces))
+            return original(faces, field)
+
+        monkeypatch.setattr(betti_mod, "homology_dims", counting)
+        koszul_betti(power, QQ)
+
+        box = [range(max(g.exps[v] for g in power.gens) + 1) for v in range(power.n)]
+        live = 0
+        for a in itertools.product(*box):
+            facets = brute_strand_facets(power, a)
+            maximal = [f for f in facets if not any(f < other for other in facets)]
+            if maximal and not frozenset.intersection(*maximal):
+                live += 1
+        assert 0 < live < sum(
+            1 for a in itertools.product(*box) if brute_strand_facets(power, a)
+        )
+        assert len(calls) == live
+
+
 class TestHochsterOracle:
     def test_single_edge(self):
         assert hochster_oracle(ideal_of(2, (1, 2))).entries == {(0, 2): 1}
@@ -302,3 +367,19 @@ class TestFieldIndependenceSmall:
                 base = koszul_betti(ideal, QQ).entries
                 assert koszul_betti(ideal, GF2).entries == base
                 assert koszul_betti(ideal, FieldSpec(3)).entries == base
+
+
+@pytest.mark.slow
+def test_seeded_quadratic_sweep_beyond_the_corpus():
+    # Koszul against Hochster, and linearity against complement chordality
+    rng = random.Random(2026)
+    for _ in range(40):
+        n = rng.randint(6, 8)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        density = rng.uniform(0.2, 0.8)
+        chosen = [p for p in pairs if rng.random() < density] or [rng.choice(pairs)]
+        ideal = ideal_of(n, *chosen)
+        for field in (QQ, GF2):
+            table = koszul_betti(ideal, field)
+            assert table.entries == hochster_oracle(ideal, field).entries, ideal
+            assert table.is_linear == bool(is_chordal(complement(graph_of_ideal(ideal)))), ideal
