@@ -2,11 +2,14 @@
 
 An ordered generating sequence u_1, ..., u_m has linear quotients when
 each colon ideal (u_1, ..., u_{i-1}) : u_i is generated by variables.
-Two routes check this.  ``has_linear_quotients`` builds each colon ideal
-and minimalizes it; ``condition_q`` runs the quantifier form directly
-(for every earlier u there is an earlier w with w/gcd(w,v) a variable
-dividing u/gcd(u,v)).  The two are provably equivalent, so the second
-asserts agreement with the first and raises Falsification on any split.
+Two routes check this.  ``has_linear_quotients`` asks that every
+generator u_j / gcd(u_j, u_i) of each colon ideal lie under one of
+degree one, read off per-variable bitsets of the exponents (the same
+check ``find_lq_order`` prunes with); ``condition_q`` runs the
+quantifier form directly on monomials (for every earlier u there is an
+earlier w with w/gcd(w,v) a variable dividing u/gcd(u,v)).  The two are
+provably equivalent, so the second asserts agreement with the first and
+raises Falsification on any split.
 
 For quadratic ideals whose generators satisfy the two combinatorial
 closure conditions from graphs.check_star and graphs.check_star_star,
@@ -25,45 +28,81 @@ from .graphs import CheckResult, check_star, check_star_star
 from .monomials import Monomial, MonomialIdeal, monomial_from_support
 
 
-def _validate_order(order: Sequence[Monomial]) -> None:
+def _at_least(exps: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """Per-variable bitsets over positions: bit p of rows[k][t] is set iff
+    exps[p][k] >= t.  Rows run to two past the largest exponent, so
+    rows[k][e + 2] exists for every exponent e that occurs."""
+    rows = []
+    for k in range(len(exps[0])):
+        row = [0] * (max(e[k] for e in exps) + 3)
+        for p, e in enumerate(exps):
+            row[e[k]] |= 1 << p
+        for t in range(len(row) - 2, -1, -1):
+            row[t] |= row[t + 1]
+        rows.append(row)
+    return rows
+
+
+def _validate_order(order: Sequence[Monomial]) -> list[list[int]]:
+    """Reject an empty, mixed-ring or non-minimal order; return the
+    ``_at_least`` bitsets of its exponents."""
     if not order:
         raise InputError("empty generator order")
     n = order[0].n
     for u in order:
         if u.n != n:
             raise InputError("generators live in different rings")
+    rows = _at_least([u.exps for u in order])
     for i, u in enumerate(order):
-        for j, v in enumerate(order):
-            if i != j and u.divides(v):
-                raise InputError(
-                    f"{u} divides {v}; linear quotients needs a minimal system"
-                )
+        # the multiples of u among the generators, u itself excluded
+        multiples = ~(1 << i)
+        for k, row in enumerate(rows):
+            multiples &= row[u.exps[k]]
+        if multiples:
+            v = order[(multiples & -multiples).bit_length() - 1]
+            raise InputError(f"{u} divides {v}; linear quotients needs a minimal system")
+    return rows
+
+
+def _unwitnessed(rows: list[list[int]], v: tuple[int, ...], prefix: int) -> int:
+    """The positions p in the bitset *prefix* whose quotient u_p / gcd(u_p, v)
+    lies under no degree-one quotient, as a bitset; 0 exactly when the
+    colon ideal (u_p : p in prefix) : v is generated by variables.
+
+    The quotients generate the colon ideal, so it is generated by
+    variables exactly when each quotient is divisible by one of degree
+    one.  x_k divides u_p / gcd(u_p, v) iff u_p[k] > v[k], and the
+    quotient is x_k itself iff k is the only such variable and
+    u_p[k] = v[k] + 1.
+    """
+    above = [row[v[k] + 1] & prefix for k, row in enumerate(rows)]
+    once = twice = 0
+    for a in above:
+        twice |= once & a
+        once |= a
+    single = once & ~twice
+    covered = 0
+    for k, row in enumerate(rows):
+        if above[k] & single & ~row[v[k] + 2]:
+            covered |= above[k]
+    return prefix & ~covered
 
 
 def has_linear_quotients(order: Sequence[Monomial]) -> CheckResult:
     """Check an explicit order via the colon ideals themselves.
 
-    At each step the quotients u_j / gcd(u_j, u_i), j < i, are minimalized
-    as a monomial ideal; the step passes iff every minimal generator has
-    degree one.  On failure the witness is the pair of 1-based positions
-    (i, j): step i fails and u_j is an earlier generator whose quotient
-    is not under any variable of the colon ideal.
+    At each step i the colon ideal (u_1, ..., u_{i-1}) : u_i is generated
+    by the quotients u_j / gcd(u_j, u_i), j < i; the step passes iff every
+    quotient lies under a quotient of degree one.  On failure the witness
+    is the pair of 1-based positions (i, j): step i fails and u_j is the
+    first earlier generator whose quotient is not under any variable of
+    the colon ideal.
     """
-    _validate_order(order)
-    n = order[0].n
+    rows = _validate_order(order)
     for i in range(1, len(order)):
-        v = order[i]
-        quotients = [u / u.gcd(v) for u in order[:i]]
-        colon = MonomialIdeal(n, quotients)
-        if all(g.degree == 1 for g in colon.gens):
-            continue
-        for j, q in enumerate(quotients):
-            if not any(w.degree == 1 and w.divides(q) for w in quotients):
-                return CheckResult(False, (i + 1, j + 1))
-        raise Falsification(
-            f"colon ideal at step {i + 1} has a non-variable minimal generator "
-            "yet every quotient is under a variable"
-        )
+        bad = _unwitnessed(rows, order[i].exps, (1 << i) - 1)
+        if bad:
+            return CheckResult(False, (i + 1, (bad & -bad).bit_length()))
     return CheckResult(True, None)
 
 
@@ -180,19 +219,11 @@ def find_lq_order(
     m = len(gens)
     if m <= 1:
         return tuple(gens)
+    rows = _at_least([g.exps for g in gens])
     nodes = 0
     order: list[Monomial] = []
     chosen = 0  # bitmask over gens
     dead: set[int] = set()
-
-    def can_append(v: Monomial) -> bool:
-        # u / gcd(u, v) on exponent tuples; a degree-one quotient is a
-        # variable x_k, and x_k divides q iff q_k > 0
-        vexps = v.exps
-        quotients = [tuple(ue - ve if ue > ve else 0 for ue, ve in zip(u.exps, vexps))
-                     for u in order]
-        variables = {q.index(1) for q in quotients if sum(q) == 1}
-        return all(any(q[k] for k in variables) for q in quotients)
 
     # nxt[d]: the generator index to try next at depth d, 0 on entry; the
     # generator appended at depth d is gens[nxt[d] - 1]
@@ -208,7 +239,7 @@ def find_lq_order(
                     raise BudgetExhausted(
                         f"order search exceeded {budget} nodes on {m} generators"
                     )
-                if can_append(gens[idx]):
+                if not _unwitnessed(rows, gens[idx].exps, chosen):
                     break
             idx += 1
         if idx < m:

@@ -9,9 +9,10 @@ matrix whose columns are x_i -> e_i + e_{n+1} and y_(a,b) -> e_a + e_b.
 
 The pipeline: a lattice basis read off the cone graph (one binomial
 y_e x_a0 x_b0 - y_e0 x_a x_b per generator edge e other than the first
-edge e0 = (a0, b0)), saturation by x_a0 and x_b0 via the reverse-lex
-trick for homogeneous ideals, then the reduced Groebner basis under the
-requested order.
+edge e0 = (a0, b0)), seeded with the degree-2 part of the toric ideal
+(m0 - m for degree-2 monomials m0, m with the same image), saturation by
+x_b0 and then x_a0 via the reverse-lex trick for homogeneous ideals,
+then the reduced Groebner basis under the requested order.
 
 Everything is pure-difference binomial arithmetic on exponent tuples;
 no general polynomial type is needed.  Two independent cross-checks
@@ -171,6 +172,26 @@ class ReesRing:
             for v, sign in ((y, 1), (a0 - 1, 1), (b0 - 1, 1), (self.n, -1), (a - 1, -1), (b - 1, -1)):
                 w[v] += sign
             out.append(binomial_from_vector(w))
+        return out
+
+    def degree_two_seed(self) -> list[Binomial]:
+        """The degree-2 part of the toric ideal, as binomials m0 - m.
+
+        Degree-2 monomials of T are grouped by their image (column sum);
+        each group member m after the first m0 gives m0 - m.  Two distinct
+        columns never coincide, so the sides of each binomial are coprime.
+        """
+        cols = self.columns()
+        groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out = []
+        for i, j in itertools.combinations_with_replacement(range(self.num_vars), 2):
+            exps = [0] * self.num_vars
+            exps[i] += 1
+            exps[j] += 1
+            m = tuple(exps)
+            m0 = groups.setdefault(_vadd(cols[i], cols[j]), m)
+            if m0 != m:
+                out.append(Binomial(m0, m))
         return out
 
     def edge_lex(self) -> TermOrder:
@@ -421,15 +442,16 @@ def toric_ideal_basis(
 ) -> ToricBasis:
     """Reduced Groebner basis of the Rees presentation ideal of I.
 
-    The lattice basis of the cone graph (ReesRing.lattice_basis),
-    saturated by the two variables of its first generator edge, then the
-    reduced basis under *order* (edge-lex by default).  The result is
+    The lattice basis of the cone graph (ReesRing.lattice_basis) and the
+    degree-2 relations (ReesRing.degree_two_seed), saturated by the two
+    variables of the first generator edge, then the reduced basis under
+    *order* (edge-lex by default).  The result is
     certified two ways before being returned: every element must vanish
     under the monomial map, and Hilbert function counts must agree up to
     *hilbert_degree*.  Failures there raise Falsification.
     """
     ring = ReesRing.from_ideal(ideal)
-    gens = ring.lattice_basis()
+    gens = ring.lattice_basis() + ring.degree_two_seed()
     for g in gens:
         if sum(g.lead) != sum(g.tail):
             raise Falsification(f"lattice binomial is not homogeneous: {g}")
@@ -440,8 +462,14 @@ def toric_ideal_basis(
     # binomial for its y_e: T_u / J_u is a localisation of K[x, y_e0], and
     # the monomial map is injective there, since the columns of x_1..x_n
     # and y_e0 are linearly independent.  Saturating by u is saturating by
-    # x_b0 and then by x_a0 (once for a loop); with at most one edge J = 0.
-    # Taking x_b0 first halved the time on complements of paths and cycles.
+    # x_b0 and then by x_a0 (once for a loop); with at most one edge J = 0
+    # and the seed is empty.  Taking x_b0 first halved the time on
+    # complements of paths and cycles.  The degree-2 seed lies in I_A too,
+    # so J <= J + seed <= I_A, and saturating by u gives
+    # I_A <= (J + seed) : u^inf <= I_A : u^inf = I_A.  The seed spares
+    # Buchberger rediscovering the degree-2 relations through many
+    # S-pairs; the Rees stage on the relabeled complement of P8 ran about
+    # 30 times faster with it.
     if gens:
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):

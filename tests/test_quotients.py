@@ -1,9 +1,10 @@
 import itertools
+import random
 import sys
 
 import pytest
 
-from corpus import all_graphs, ideal_of, square_corpus, sturmfels_ideal
+from corpus import all_graphs, brute_minimalize, ideal_of, square_corpus, sturmfels_ideal
 from linres.betti import GF2, QQ, is_linear_resolution
 from linres.errors import BudgetExhausted, InputError, PreconditionError
 from linres.graphs import complement, dirac_labeling, graph_of_ideal, is_chordal
@@ -45,6 +46,37 @@ class TestHasLinearQuotients:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             has_linear_quotients([])
+
+    def test_first_divisible_pair_is_named(self):
+        with pytest.raises(InputError, match=r"^x1\*x2 divides x1\*x2\*x3;"):
+            has_linear_quotients([mono(3, 1, 2), mono(3, 1), mono(3, 1, 2, 3)])
+
+    def test_agrees_with_minimalized_colon_ideals(self):
+        # random minimal systems of mixed degree in random order, against
+        # colon ideals built from Monomial quotients and minimalized
+        rng = random.Random(2026)
+        checked = failed = 0
+        while checked < 1500:
+            n = rng.randint(2, 4)
+            drawn = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 7))}
+            order = brute_minimalize([Monomial(e) for e in drawn if any(e)])
+            if len(order) < 2:
+                continue
+            rng.shuffle(order)
+            expected = (True, None)
+            for i in range(1, len(order)):
+                quotients = [u / u.gcd(order[i]) for u in order[:i]]
+                if all(g.degree == 1 for g in brute_minimalize(quotients)):
+                    continue
+                j = next(j for j, q in enumerate(quotients)
+                         if not any(w.degree == 1 and w.divides(q) for w in quotients))
+                expected = (False, (i + 1, j + 1))
+                break
+            verdict = has_linear_quotients(order)
+            assert (verdict.ok, verdict.witness) == expected, order
+            checked += 1
+            failed += not verdict.ok
+        assert 0 < failed < checked
 
 
 class TestConditionQ:

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from corpus import ideal_of, m_squared, square_corpus, square_straddle_ideal, squarefree_corpus
+import linres.rees as rees_mod
+from linres import pipeline
 from linres.errors import BudgetExhausted, Falsification, InputError
 from linres.graphs import check_star, check_star_star, complement, dirac_labeling, graph_of_ideal, is_chordal
 from linres.monomials import MonomialIdeal
@@ -29,6 +31,24 @@ from linres.rees import (
 C4_IDEAL = ideal_of(4, (1, 2), (2, 3), (3, 4), (1, 4))
 # the complement of the 5-cycle 1-2-3-4-5-1
 CO_C5 = ideal_of(5, (1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
+
+
+def co_path(n):
+    """Edge ideal of the complement of the path 1-2-...-n."""
+    return ideal_of(n, *[(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+                         if b - a > 1])
+
+
+def co_cycle(n):
+    """Edge ideal of the complement of the cycle 1-2-...-n-1."""
+    return ideal_of(n, *[(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+                         if 1 < b - a < n - 1])
+
+
+def dirac_relabeled(ideal):
+    """The ideal in the labeling analyze gives it (complement chordal)."""
+    g_simple = graph_of_ideal(ideal).simple()
+    return ideal.relabel(dirac_labeling(g_simple, ideal.square_set()))
 
 
 def unit(ring, name):
@@ -189,6 +209,83 @@ class TestSaturationCount:
         monkeypatch.setattr(rees_mod, "_saturate_variable", counting)
         toric_ideal_basis(ideal)
         assert len(seen) == saturations
+
+
+class TestDegreeTwoSeed:
+    @staticmethod
+    def unseeded_basis(ideal):
+        # the lattice basis alone, saturated by x_b0 and then x_a0
+        ring = ReesRing.from_ideal(ideal)
+        gens = ring.lattice_basis()
+        a0, b0 = ring.edges[0]
+        for v in sorted({a0 - 1, b0 - 1}, reverse=True):
+            gens = rees_mod._saturate_variable(gens, ring, v, 500_000)
+        return reduced_groebner(gens, ring.edge_lex())
+
+    @pytest.mark.parametrize("ideal", [
+        pytest.param(build(n), id=f"{label}{n}", marks=[pytest.mark.slow] if n == 7 else [])
+        for n in (5, 6, 7)
+        for label, build in (
+            ("co-P", co_path),
+            ("co-C", co_cycle),
+            ("relabeled co-P", lambda n: dirac_relabeled(co_path(n))),
+        )
+    ])
+    def test_same_basis_as_the_unseeded_route(self, ideal):
+        assert toric_ideal_basis(ideal).elements == self.unseeded_basis(ideal)
+
+    def test_relabeled_co_p7_within_a_small_budget(self):
+        # the unseeded route needs about 52,000 steps in one Buchberger run
+        basis = toric_ideal_basis(dirac_relabeled(co_path(7)), budget_limit=10_000)
+        assert len(basis.elements) == 60
+
+    @pytest.mark.parametrize("ideal", [
+        m_squared(), C4_IDEAL, CO_C5, ideal_of(3, (1, 3), (2, 2)), co_path(6),
+        ideal_of(4, (1, 1), (1, 2), (2, 2), (3, 4), (4, 4)),
+    ])
+    def test_seed_is_the_degree_two_part(self, ideal):
+        ring = ReesRing.from_ideal(ideal)
+        apex = ring.n + 1
+        # vertices of each variable's cone-graph edge, read off the edges
+        ends = [(i, apex) for i in range(1, ring.n + 1)] + list(ring.edges)
+
+        def image(exps):
+            return tuple(sorted(v for var, e in enumerate(exps) for _ in range(e)
+                                for v in ends[var]))
+
+        seed = ring.degree_two_seed()
+        for g in seed:
+            assert sum(g.lead) == sum(g.tail) == 2
+            assert g.lead != g.tail
+            assert image(g.lead) == image(g.tail)
+        monomials = [tuple(int(j in pair) + int(j == pair[0] == pair[1])
+                           for j in range(ring.num_vars))
+                     for pair in itertools.combinations_with_replacement(range(ring.num_vars), 2)]
+        assert len(seed) == len(monomials) - len({image(m) for m in monomials})
+
+
+@pytest.mark.slow
+def test_elimination_oracle_on_seeded_random_ideals():
+    # squarefree quadratic ideals beyond the corpus, n = 6..8; at most 9
+    # generators, because the oracle takes minutes at 14-18 with n = 8
+    rng = random.Random(2026)
+    for _ in range(8):
+        n = rng.randint(6, 8)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        ideal = ideal_of(n, *rng.sample(pairs, rng.randint(2, 9)))
+        assert toric_ideal_basis(ideal).elements == toric_basis_by_elimination(ideal), ideal
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ideal, x_degree_ok, size", [
+    (co_path(8), True, 120),
+    (co_cycle(8), False, 119),
+], ids=["co-P8", "co-C8"])
+def test_analyze_at_n8(ideal, x_degree_ok, size):
+    report = pipeline.analyze(ideal)
+    assert report["falsifications"] == 0
+    assert report["rees"]["x_degree"]["ok"] is x_degree_ok
+    assert len(report["rees"]["groebner"]["elements"]) == size
 
 
 class TestReducedGroebner:
