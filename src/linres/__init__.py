@@ -13,12 +13,13 @@ from .betti import (
     BettiTable,
     FieldSpec,
     check_polarization,
-    checked_table,
+    checked_tables,
     cohomology_dims,
     hochster_oracle,
     homology_dims,
     is_linear_resolution,
     koszul_betti,
+    koszul_tables,
     power_record,
     powers_linear_report,
 )
@@ -68,7 +69,7 @@ from .quotients import (
     has_linear_quotients,
     isolated_squares,
 )
-from .rank import rank_mod_p, rank_over_q
+from .rank import rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
 from .rees import (
     Binomial,
     ReesRing,

@@ -17,6 +17,16 @@ the generators dividing them (off the LCM lattice, where K_a is a cone),
 and strands whose facets share a vertex (again a cone).  A cone has no
 reduced homology over any field, so the skips leave the table exact.
 
+One walk serves every requested field (koszul_tables).  A live strand's
+faces stay int bitmasks of vertices from its facets to its boundary
+matrices; each matrix is built once and ranked over every field.  GF(2)
+reduces the columns, each one int, against an XOR basis.  Over Q that
+GF(2) rank is a lower bound, and the rank is at most the number of
+columns and at most the rows less the rank of the boundary below; when
+the GF(2) rank meets that bound it is the rank over Q, and fraction-free
+elimination runs only on the rest.  Other GF(p) eliminate the dense
+signed matrix.
+
 The independent cross-check for squarefree ideals reads the same table
 from the other side: beta_{i,j}(I) is the sum over j-element vertex
 subsets W of dim H~^{j-i-2} of the induced Stanley-Reisner subcomplex,
@@ -24,7 +34,9 @@ assembled here via coboundary (not boundary) matrices so the two routes
 share as little code as possible.
 
 All ranks are exact: fraction-free integer elimination over Q, modular
-elimination over GF(p).
+elimination over GF(p), XOR elimination over GF(2).  The test-scale
+routes homology_dims and cohomology_dims assemble their own matrices
+from frozenset faces and share no face or matrix code with the walk.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from dataclasses import dataclass
 
 from .errors import Falsification, InputError, ResourceGuard
 from .monomials import MonomialIdeal
-from .rank import is_prime, rank_mod_p, rank_over_q
+from .rank import is_prime, rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
 
 
 @dataclass(frozen=True)
@@ -210,59 +222,152 @@ def cohomology_dims(faces, field: FieldSpec) -> dict[int, int]:
     return out
 
 
-def _faces_from_facets(facet_masks: list[int]) -> list[frozenset[int]]:
-    """All subsets of the given facets (vertex bitmasks), as frozensets."""
-    seen: set[int] = set()
-    for mask in facet_masks:
-        sub = mask
-        while True:
-            seen.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-    return [frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1) for m in seen]
-
-
 # ---------------------------------------------------------------------------
 # Koszul strand computation
 # ---------------------------------------------------------------------------
 
-def _maximal_facets(divisors: int, gens_exps: list[tuple[int, ...]],
-                    a: list[int]) -> list[int]:
-    """Facet bitmasks of K_a from the bitset of generators dividing x^a.
+def _live_facets(divisors: int, exact: list[list[int]], a: list[int]) -> list[int]:
+    """Facet bitmasks of K_a from the bitset of generators dividing x^a,
+    or [] when the facets share a vertex (K_a is a cone).
 
     Generator g contributes the face {v : a_v > g_v}; only the maximal
-    ones are kept.
+    ones are kept.  The generators are split into classes of equal faces
+    one variable at a time: a divisor g has g_v <= a_v, so v is in its
+    face unless g is in exact[v][a_v].
     """
-    support = [v for v, av in enumerate(a) if av]
-    masks = set()
-    while divisors:
-        low = divisors & -divisors
-        g = gens_exps[low.bit_length() - 1]
-        divisors ^= low
-        mask = 0
-        for v in support:
-            if a[v] > g[v]:
-                mask |= 1 << v
-        masks.add(mask)
+    classes = [(divisors, 0)]
+    for v, av in enumerate(a):
+        if not av:
+            continue
+        hit, bit = exact[v][av], 1 << v
+        split = []
+        for gens, mask in classes:
+            same = gens & hit
+            if same:
+                split.append((same, mask))
+            if same != gens:
+                split.append((gens ^ same, mask | bit))
+        classes = split
+    masks = [m for _, m in classes]
+    # every face lies in a facet, so a vertex common to all faces is
+    # common to the facets too
+    if functools.reduce(operator.and_, masks):
+        return []
+    masks.sort(key=int.bit_count, reverse=True)
     maximal: list[int] = []
-    for mask in sorted(masks, key=int.bit_count, reverse=True):
-        if not any(mask & big == mask for big in maximal):
+    for mask in masks:
+        for big in maximal:
+            if mask & big == mask:
+                break
+        else:
             maximal.append(mask)
-    return maximal
+    return [] if functools.reduce(operator.and_, maximal) else maximal
 
 
-def koszul_betti(
+def _signed_columns(faces: list[int], row_of: dict[int, int]) -> list[list[int]]:
+    """The boundary of each face as a dense signed column over the faces one smaller.
+
+    Dropping the vertex at position t among the face's set bits (from the
+    lowest, t = 0) gives the entry (-1)^t.
+    """
+    out = []
+    for f in faces:
+        col = [0] * len(row_of)
+        rest, sign = f, 1
+        while rest:
+            low = rest & -rest
+            col[row_of[f ^ low]] = sign
+            rest ^= low
+            sign = -sign
+        out.append(col)
+    return out
+
+
+def _rank_boundary(cols: list[int], rows: list[int], s: int, fields,
+                   ranks: list[list[int]]) -> None:
+    """Set ranks[k][s] to the rank over fields[k] of the boundary matrix
+    from the faces *cols* to the faces *rows*, one smaller.
+
+    ranks[k][s - 1] must already hold the rank of the boundary below.
+    """
+    row_of = {f: r for r, f in enumerate(rows)}
+    bits = []
+    for f in cols:
+        col, rest = 0, f
+        while rest:
+            low = rest & -rest
+            col |= 1 << row_of[f ^ low]
+            rest ^= low
+        bits.append(col)
+    rank2 = rank_gf2(bits)
+    dense = None  # the signed matrix, built on first use and shared by the fields
+
+    def signed() -> list[list[int]]:
+        nonlocal dense
+        if dense is None:
+            dense = _signed_columns(cols, row_of)
+        return dense
+
+    for rk, field in zip(ranks, fields):
+        if field.p == 2:
+            rk[s] = rank2
+        elif field.p is None:
+            # the boundary of size-s faces lands in the kernel of the
+            # boundary below it, so its rank is at most the number of rows
+            # less the rank below; see rank_over_q_via_gf2
+            rk[s] = rank_over_q_via_gf2(rank2, min(len(cols), len(rows) - rk[s - 1]), signed)
+        else:
+            rk[s] = rank_mod_p(signed(), field.p)
+
+
+def _strand_homology(facets: list[int], fields) -> list[dict[int, int]]:
+    """Reduced homology of the complex with these facets, over each field.
+
+    Facets and faces are vertex bitmasks.  For each field, in order, the
+    result maps a face size s to the nonzero dim H~_{s-1}, which is the
+    strand's contribution to beta_{s, |a|}.  Each boundary matrix is
+    ranked over every field by _rank_boundary.
+    """
+    faces = set()
+    for mask in facets:
+        sub = mask
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & mask
+    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, facets)) + 1)]
+    for f in faces:
+        by_size[f.bit_count()].append(f)
+    # ranks[k][s]: rank over fields[k] of the boundary from size-s faces
+    # to size-(s - 1) faces; 0 at s = 0 and beyond the top
+    ranks = [[0] * (len(by_size) + 1) for _ in fields]
+    for s in range(1, len(by_size)):
+        _rank_boundary(by_size[s], by_size[s - 1], s, fields, ranks)
+    out = []
+    for rk in ranks:
+        dims = {}
+        for s, level in enumerate(by_size):
+            h = len(level) - rk[s] - rk[s + 1]
+            if h:
+                dims[s] = h
+        out.append(dims)
+    return out
+
+
+def koszul_tables(
     ideal: MonomialIdeal,
-    field: FieldSpec = QQ,
+    fields,
     multidegree_cap: int | None = None,
-) -> BettiTable:
-    """The graded Betti table of a nonzero monomial ideal.
+) -> dict[str, BettiTable]:
+    """The graded Betti tables of a nonzero monomial ideal, one per field.
 
-    Walks the box below the lcm of the generators (the region that can
-    carry nonzero Betti numbers) and accumulates strand homology, but
-    computes homology only where it can be nonzero.  A multidegree a is
-    skipped when x^a is not in the ideal (K_a is void), when a is not
+    The result maps each field's label to its table, in the order of
+    *fields*, with repeated labels scanned once.  One walk serves every
+    field.  It visits the box below the lcm of the generators (the region
+    that can carry nonzero Betti numbers) and accumulates strand homology,
+    but computes homology only where it can be nonzero.  A multidegree a
+    is skipped when x^a is not in the ideal (K_a is void), when a is not
     the lcm of the generators dividing x^a (it lies outside the LCM
     lattice, and K_a is a cone), and when the facets of K_a share a
     vertex (K_a is a cone).  ``multidegree_cap`` aborts with
@@ -271,6 +376,7 @@ def koszul_betti(
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
+    fields = list(dict.fromkeys(fields))
     gens_exps = [g.exps for g in ideal.gens]
     n = ideal.n
     maxvec = tuple(max(g[v] for g in gens_exps) for v in range(n))
@@ -308,20 +414,18 @@ def koszul_betti(
     # tests fail on a prefix they fail for every completion of it, and the
     # walk skips the whole subtree.  It visits the live multidegrees in
     # the lexicographic order of the box.
-    entries: dict[tuple[int, int], int] = {}
+    tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
     # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
     a = [-1] * n
     divisors = [(1 << len(gens_exps)) - 1] + [0] * n
     v = 0
     while v >= 0:
         if v == n:
-            facets = _maximal_facets(divisors[n], gens_exps, a)
-            if not functools.reduce(operator.and_, facets):
-                dims = homology_dims(_faces_from_facets(facets), field)
+            facets = _live_facets(divisors[n], exact, a)
+            if facets:
                 j = sum(a)
-                for k, h in dims.items():
-                    i = k + 1
-                    if i >= 0:
+                for entries, dims in zip(tables, _strand_homology(facets, fields)):
+                    for i, h in dims.items():
                         entries[(i, j)] = entries.get((i, j), 0) + h
             v -= 1
             continue
@@ -338,7 +442,19 @@ def koszul_betti(
         a[v] = t
         divisors[v + 1] = d
         v += 1
-    return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
+    return {
+        f.label: BettiTable(n=n, field=f, entries=entries, gen_degree=ideal.degree)
+        for f, entries in zip(fields, tables)
+    }
+
+
+def koszul_betti(
+    ideal: MonomialIdeal,
+    field: FieldSpec = QQ,
+    multidegree_cap: int | None = None,
+) -> BettiTable:
+    """The graded Betti table of a nonzero monomial ideal over one field (see koszul_tables)."""
+    return koszul_tables(ideal, (field,), multidegree_cap)[field.label]
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +499,37 @@ def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
 # verdicts
 # ---------------------------------------------------------------------------
 
-def check_polarization(ideal: MonomialIdeal, table: BettiTable,
+def check_polarization(ideal: MonomialIdeal, *tables: BettiTable,
                        multidegree_cap: int | None = None) -> None:
     """Cross-check a quadratic ideal with squares against its polarization.
 
     Polarization keeps the graded Betti numbers, so the Koszul table of
-    the polarized (squarefree) ideal must equal *table*, the ideal's own
-    over the same field, entry by entry; a split raises Falsification.
+    the polarized (squarefree) ideal must equal each of *tables*, the
+    ideal's own over their fields, entry by entry; a split raises
+    Falsification.  The polarization is walked once for all the fields.
     Other ideals pass without a scan.
     """
     if ideal.degree != 2 or ideal.is_squarefree():
         return
-    pol = koszul_betti(ideal.polarize(), table.field, multidegree_cap=multidegree_cap)
-    if pol.entries != table.entries:
-        raise Falsification(
-            "polarization changed the Betti table: "
-            f"{sorted(pol.entries.items())} vs {sorted(table.entries.items())}"
-        )
+    pol = koszul_tables(ideal.polarize(), [t.field for t in tables],
+                        multidegree_cap=multidegree_cap)
+    for table in tables:
+        got = pol[table.field.label]
+        if got.entries != table.entries:
+            raise Falsification(
+                "polarization changed the Betti table: "
+                f"{sorted(got.entries.items())} vs {sorted(table.entries.items())}"
+            )
 
 
-def checked_table(ideal: MonomialIdeal, field: FieldSpec = QQ,
-                  multidegree_cap: int | None = None) -> BettiTable:
-    """The Koszul table of I over *field*, after the polarization cross-check."""
-    table = koszul_betti(ideal, field, multidegree_cap=multidegree_cap)
-    check_polarization(ideal, table, multidegree_cap)
-    return table
+def checked_tables(ideal: MonomialIdeal, fields=(QQ,),
+                   multidegree_cap: int | None = None) -> dict[str, BettiTable]:
+    """The Koszul tables of I over *fields* (see koszul_tables), after the
+    polarization cross-check; one walk of I and at most one of its
+    polarization serve every field."""
+    tables = koszul_tables(ideal, fields, multidegree_cap=multidegree_cap)
+    check_polarization(ideal, *tables.values(), multidegree_cap=multidegree_cap)
+    return tables
 
 
 def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ,
@@ -422,7 +544,7 @@ def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ,
         raise InputError("linearity of the zero ideal is not defined")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    return checked_table(ideal, field, multidegree_cap).is_linear
+    return checked_tables(ideal, (field,), multidegree_cap)[field.label].is_linear
 
 
 # the multidegree cap of every Koszul scan the command line starts
@@ -436,15 +558,17 @@ def power_record(k: int, power: MonomialIdeal, fields,
 
     It carries k, the number of minimal generators and one verdict per
     field.  *tables*, when given, maps every field's label to the checked
-    table of I^k, which is then read instead of scanned again.  When the
-    multidegree cap trips, the record carries the abort and no verdicts.
+    table of I^k, which is then read instead of scanned again; otherwise
+    I^k is walked once for all the fields.  When the multidegree cap
+    trips, the record carries the abort and no verdicts.
     """
     record: dict = {"k": k, "num_gens": power.num_gens, "linear": {}}
     t0 = time.perf_counter()
     try:
+        if not tables:
+            tables = checked_tables(power, fields, multidegree_cap)
         for f in fields:
-            table = tables[f.label] if tables else checked_table(power, f, multidegree_cap)
-            record["linear"][f.label] = table.is_linear
+            record["linear"][f.label] = tables[f.label].is_linear
     except ResourceGuard as exc:
         record["aborted"] = str(exc)
         record["linear"] = None

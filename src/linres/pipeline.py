@@ -9,8 +9,8 @@ certificate; whenever theory ties two of these answers together they are
 compared, and a split raises Falsification.  Other ideals get the stages
 that need no graph: Betti tables, a searched order and the powers.
 
-Each (ideal, field) pair is scanned once: the Betti stage's checked tables
-give both the linearity verdicts and the k = 1 power record.  The other
+Each ideal is walked once for all the fields: the Betti stage's checked
+tables give both the linearity verdicts and the k = 1 power record.  The other
 modules are called through their module attributes, so wrappers installed
 on them (profilers, test doubles) see every call.
 """
@@ -107,8 +107,6 @@ def _searched_order(ideal, names) -> dict:
 
 def _powers(ideal, fields, max_power, tables) -> list[dict]:
     """Power records for k = 1..max_power; k = 1 reads the Betti stage's tables."""
-    if max_power < 1:
-        raise InputError(f"max_power must be >= 1, got {max_power}")
     records = [betti.power_record(1, ideal, fields, tables=tables)]
     for k in range(2, max_power + 1):
         records.append(betti.power_record(k, ideal.power(k), fields))
@@ -140,11 +138,13 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
     if ideal.is_zero():
         report["verdict"] = "zero ideal: nothing to resolve"
         return report
+    if max_power < 1:
+        raise InputError(f"max_power must be >= 1, got {max_power}")
     report["degree"] = ideal.degree
     if ideal.degree == 2:
         return _analyze_quadratic(report, ideal, names, fields, max_power)
 
-    tables = {f.label: betti.checked_table(ideal, f, betti.MULTIDEGREE_CAP) for f in fields}
+    tables = betti.checked_tables(ideal, fields, betti.MULTIDEGREE_CAP)
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
     report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
     if not ideal.is_equigenerated():
@@ -205,7 +205,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     # stage 4: Betti tables, checked against the polarization when there
     # are squares; linearity is read from them
     t0 = time.perf_counter()
-    tables = {f.label: betti.checked_table(ideal, f, betti.MULTIDEGREE_CAP) for f in fields}
+    tables = betti.checked_tables(ideal, fields, betti.MULTIDEGREE_CAP)
     timings["betti"] = round(time.perf_counter() - t0, 3)
     linear = {lab: t.is_linear for lab, t in tables.items()}
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}

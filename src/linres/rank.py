@@ -2,13 +2,52 @@
 
 No floating point anywhere: the rational-rank path runs fraction-free
 Gaussian elimination (Bareiss) on Python integers, the modular path runs
-ordinary elimination with inverses mod p.  Matrices are small dense
+ordinary elimination with inverses mod p, and GF(2) keeps each vector as
+the bits of one int and eliminates with XOR.  Dense matrices are small
 lists of lists; rows of zeros and empty matrices are fine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .errors import InputError
+
+
+def rank_gf2(vectors: list[int]) -> int:
+    """Rank over GF(2) of bit vectors, each one int, by an XOR basis.
+
+    The basis holds at most one vector per leading bit; a new vector is
+    reduced by the basis vectors of its leading bits until it is zero
+    (dependent) or has a leading bit of its own (a new basis vector).
+    """
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            lead = v.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return len(basis)
+
+
+def rank_over_q_via_gf2(rank2: int, bound: int,
+                        build: Callable[[], list[list[int]]]) -> int:
+    """Rank over Q of an integer matrix whose GF(2) rank is *rank2*.
+
+    *bound* is an upper bound on the rank over Q, min(rows, cols) or a
+    tighter one the caller knows.  *build* returns the matrix; it is
+    called only when Bareiss elimination has to run.
+    """
+    # rank_GF(2)(M) <= rank_Q(M) <= bound: a set of columns independent
+    # mod 2 has an r x r minor that is odd, hence a nonzero integer, so the
+    # same columns are independent over Q.  A GF(2) rank that reaches the
+    # bound therefore is the rank over Q, and elimination runs only below it.
+    if rank2 == bound:
+        return rank2
+    return rank_over_q(build())
 
 
 def rank_over_q(rows: list[list[int]]) -> int:

@@ -25,6 +25,7 @@ from linres.betti import (
     homology_dims,
     is_linear_resolution,
     koszul_betti,
+    koszul_tables,
     powers_linear_report,
 )
 from linres.errors import (
@@ -33,7 +34,7 @@ from linres.errors import (
     ResourceGuard,
 )
 from linres.graphs import complement, edge_ideal, graph_of_ideal, is_chordal
-from linres.rank import is_prime
+from linres.rank import is_prime, rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
 from linres.monomials import Monomial, MonomialIdeal
 
 
@@ -186,36 +187,47 @@ def monomial_ideals(draw):
 
 
 class TestKoszulAgainstBruteForce:
-    """koszul_betti skips multidegrees; the brute-force scan skips none."""
+    """koszul_betti skips multidegrees; the brute-force scan skips none.
+    One koszul_tables walk over all three fields must give the same tables."""
+
+    @staticmethod
+    def check(ideal):
+        tables = koszul_tables(ideal, (QQ, GF2, GF3))
+        assert list(tables) == ["Q", "GF(2)", "GF(3)"]
+        for field in (QQ, GF2, GF3):
+            brute = brute_koszul_betti(ideal, field).entries
+            assert koszul_betti(ideal, field).entries == brute
+            assert tables[field.label].field == field
+            assert tables[field.label].entries == brute
 
     @given(monomial_ideals())
     @settings(max_examples=80, deadline=None)
     def test_random_ideals(self, ideal):
-        for field in (QQ, GF2, GF3):
-            assert koszul_betti(ideal, field).entries == \
-                brute_koszul_betti(ideal, field).entries
+        self.check(ideal)
 
     @pytest.mark.parametrize("build", [sturmfels_ideal, terai_ideal])
     @pytest.mark.parametrize("k", [2, 3])
     def test_powers(self, build, k):
-        power = build().power(k)
-        for field in (QQ, GF2, GF3):
-            assert koszul_betti(power, field).entries == \
-                brute_koszul_betti(power, field).entries
+        self.check(build().power(k))
+
+    def test_one_table_per_label(self):
+        tables = koszul_tables(terai_ideal(), (QQ, QQ, GF2))
+        assert list(tables) == ["Q", "GF(2)"]
+        assert tables["Q"].is_linear and not tables["GF(2)"].is_linear
 
     def test_homology_only_on_non_cone_strands(self, monkeypatch):
         import linres.betti as betti_mod
 
         power = terai_ideal().power(2)
         calls = []
-        original = betti_mod.homology_dims
+        original = betti_mod._strand_homology
 
-        def counting(faces, field):
-            calls.append(len(faces))
-            return original(faces, field)
+        def counting(facets, fields):
+            calls.append(len(facets))
+            return original(facets, fields)
 
-        monkeypatch.setattr(betti_mod, "homology_dims", counting)
-        koszul_betti(power, QQ)
+        monkeypatch.setattr(betti_mod, "_strand_homology", counting)
+        koszul_tables(power, (QQ, GF2))
 
         box = [range(max(g.exps[v] for g in power.gens) + 1) for v in range(power.n)]
         live = 0
@@ -228,6 +240,43 @@ class TestKoszulAgainstBruteForce:
             1 for a in itertools.product(*box) if brute_strand_facets(power, a)
         )
         assert len(calls) == live
+
+
+def gf2_bits(rows):
+    """Each row of an integer matrix as the bitmask of its odd entries."""
+    return [sum(1 << c for c, x in enumerate(row) if x % 2) for row in rows]
+
+
+small_matrices = st.integers(1, 8).flatmap(
+    lambda m: st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
+
+class TestRankKernels:
+    @given(small_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_gf2_bitset_rank_matches_elimination(self, rows):
+        assert rank_gf2(gf2_bits(rows)) == rank_mod_p(rows, 2)
+
+    @given(small_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_q_rank_through_gf2_matches_bareiss(self, rows):
+        bound = min(len(rows), len(rows[0]))
+        got = rank_over_q_via_gf2(rank_gf2(gf2_bits(rows)), bound, lambda: rows)
+        assert got == rank_over_q(rows)
+
+    def test_gf2_deficient_matrix_runs_bareiss(self):
+        rows = [[1, 1], [1, -1]]
+        built = []
+
+        def build():
+            built.append(True)
+            return rows
+
+        assert rank_gf2(gf2_bits(rows)) == 1
+        assert rank_over_q_via_gf2(1, 2, build) == 2
+        assert built == [True]
 
 
 class TestHochsterOracle:

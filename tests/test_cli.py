@@ -139,31 +139,32 @@ class TestAnalyze:
 
 
 class TestScanCount:
-    @pytest.mark.parametrize("fixture, scans", [
-        ("k3", 4),   # I and I^2, over Q and GF(2)
-        ("msq", 6),  # I and its polarization, and I^2, over Q and GF(2)
+    @pytest.mark.parametrize("fixture, walks", [
+        ("k3", 2),   # I and I^2
+        ("msq", 3),  # I, its polarization, and I^2
     ])
-    def test_each_ideal_and_field_scanned_once(self, capsys, monkeypatch, request,
-                                               fixture, scans):
+    def test_each_ideal_walked_once_for_every_field(self, capsys, monkeypatch, request,
+                                                   fixture, walks):
         import linres.betti as betti_mod
 
-        original = betti_mod.koszul_betti
+        original = betti_mod.koszul_tables
         seen = []
 
-        def counting(ideal, field, *args, **kwargs):
-            seen.append((ideal, field))
-            return original(ideal, field, *args, **kwargs)
+        def counting(ideal, fields, *args, **kwargs):
+            seen.append((ideal, tuple(f.label for f in fields)))
+            return original(ideal, fields, *args, **kwargs)
 
         # every linres namespace that holds the function, however it was imported
         for name, mod in list(sys.modules.items()):
             if (name == "linres" or name.startswith("linres.")) \
-                    and getattr(mod, "koszul_betti", None) is original:
-                monkeypatch.setattr(mod, "koszul_betti", counting)
+                    and getattr(mod, "koszul_tables", None) is original:
+                monkeypatch.setattr(mod, "koszul_tables", counting)
         rc, _ = run_json(capsys, "analyze", request.getfixturevalue(fixture),
                          "--max-power", "2")
         assert rc == 0
-        assert len(seen) == scans
-        assert len(set(seen)) == scans
+        assert len(seen) == walks
+        assert len({ideal for ideal, _ in seen}) == walks
+        assert all(labels == ("Q", "GF(2)") for _, labels in seen)
 
 
 class TestBetti:
@@ -291,6 +292,16 @@ class TestExitCodes:
         rc, out, err = run(capsys, "analyze", path)
         assert rc == 2
 
+    def test_bad_max_power_exits_before_any_scan(self, capsys, monkeypatch, k3):
+        import linres.betti as betti_mod
+
+        def boom(*a, **k):
+            raise AssertionError("no Koszul walk may run before max_power is checked")
+
+        monkeypatch.setattr(betti_mod, "koszul_tables", boom)
+        rc, out, err = run(capsys, "analyze", k3, "--max-power", "0")
+        assert rc == 2 and "max_power must be >= 1, got 0" in err
+
     def test_unknown_field(self, capsys, k3):
         rc, out, err = run(capsys, "analyze", k3, "--field", "R")
         assert rc == 2 and "cannot parse field" in err
@@ -312,7 +323,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise KeyError("planted for the dispatcher test")
 
-        monkeypatch.setattr(cli_mod, "koszul_betti", boom)
+        monkeypatch.setattr(cli_mod, "koszul_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3
         assert err.startswith("internal error:")
@@ -324,7 +335,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise Falsification("planted for the dispatcher test")
 
-        monkeypatch.setattr(cli_mod, "koszul_betti", boom)
+        monkeypatch.setattr(cli_mod, "koszul_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3 and "falsification:" in err
 
