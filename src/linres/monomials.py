@@ -237,10 +237,15 @@ def _minimalize(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     """Unique minimal generating set, canonically sorted."""
     uniq = sorted(set(gens), key=Monomial.sort_key)
     kept: list[Monomial] = []
+    lower = 0  # kept[:lower] are the kept generators of lower degree than g
+    degree = None
     for g in uniq:
-        # earlier entries have degree <= deg(g); a same-degree divisor is a duplicate,
-        # already removed by the set
-        if not any(h.divides(g) for h in kept):
+        # a same-degree divisor is a duplicate, already removed by the set,
+        # so only the strictly lower degrees are tested
+        if g.degree != degree:
+            degree = g.degree
+            lower = len(kept)
+        if not any(h.divides(g) for h in itertools.islice(kept, lower)):
             kept.append(g)
     return tuple(kept)
 

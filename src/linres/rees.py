@@ -14,11 +14,18 @@ edge e0 = (a0, b0)), seeded with the degree-2 part of the toric ideal
 x_b0 and then x_a0 via the reverse-lex trick for homogeneous ideals,
 then the reduced Groebner basis under the requested order.
 
-Everything is pure-difference binomial arithmetic on exponent tuples;
-no general polynomial type is needed.  Two independent cross-checks
-live here as well: elimination (adjoin target variables z and eliminate
-them, a slow oracle for tests) and the combinatorial Graver basis via
-primitive even closed walks of the cone graph.
+Everything is pure-difference binomial arithmetic; no general
+polynomial type is needed.  Binomials are exponent tuples at every
+public interface.  Inside one Buchberger or interreduction run each
+monomial is an int with one byte per variable and a guard bit on top
+of every byte (_Packing): a divisibility test is one subtraction and a
+mask, and a reduction step is one subtraction and one addition.  The
+tuples are packed once on the way in and unpacked once on the way out;
+the saturation step, the certificates and the walks work on them.
+Two independent cross-checks live here as well: elimination (adjoin
+target variables z and eliminate them, a slow oracle for tests) and the
+combinatorial Graver basis via primitive even closed walks of the cone
+graph.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted, Falsification, InputError
+from .errors import BudgetExhausted, Falsification, InputError, ResourceGuard
 from .monomials import MonomialIdeal
 
 
@@ -37,10 +44,6 @@ def _vadd(a, b):
 
 def _vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _vmax(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def _divides(a, b):
@@ -220,14 +223,121 @@ def format_binomial(b: Binomial, names) -> str:
 
 
 # ---------------------------------------------------------------------------
-# binomial Buchberger
+# packed monomials
 # ---------------------------------------------------------------------------
 
-def _orient(u, t, order: TermOrder) -> Binomial | None:
-    if u == t:
-        return None
-    return Binomial(u, t) if order.gt(u, t) else Binomial(t, u)
+_LIMIT = 0x80  # exponents stay below the guard bit of their byte
 
+
+class _Packing:
+    """The monomials of one Buchberger run as ints, one byte per variable.
+
+    The bytes hold the exponents in the order's ranking, most significant
+    variable in the top byte; graded orders take the reversed ranking.
+    Bit 7 of every byte is a guard bit, so every exponent stays below
+    _LIMIT, and with G the mask of all guard bits no subtraction below
+    borrows across a byte:
+
+    - x^a divides x^b iff ((b | G) - a) & G == G: a byte keeps its guard
+      bit iff b_k >= a_k;
+    - the same borrow mask picks the larger exponent of every byte, which
+      is the lcm;
+    - (a | G) - ONES keeps the guard bit of every byte with a_k > 0, so
+      two monomials are coprime iff these supports do not meet;
+    - under lex the packed int is the order key; under a graded order the
+      key is (degree << bits) - packed, since the reverse-lex tie-break
+      favours the smaller exponent of the cheapest variable, which sits
+      in the top byte.
+    """
+
+    def __init__(self, order: TermOrder, num_vars: int):
+        self.seq = order.ranking[::-1] if order.graded else order.ranking
+        slot = [0] * num_vars
+        for k, v in enumerate(self.seq):
+            slot[v] = k
+        self.slot = tuple(slot)
+        self.size = num_vars
+        self.bits = 8 * num_vars
+        self.graded = order.graded
+        self.guard = int.from_bytes(b"\x80" * num_vars, "big")
+        self.ones = int.from_bytes(b"\x01" * num_vars, "big")
+
+    def pack(self, exps) -> int:
+        if max(exps, default=0) >= _LIMIT:
+            raise ResourceGuard(f"buchberger: exponent past {_LIMIT - 1} in {tuple(exps)}")
+        return int.from_bytes(bytes(map(exps.__getitem__, self.seq)), "big")
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(map(m.to_bytes(self.size, "big").__getitem__, self.slot))
+
+    def degree(self, m: int) -> int:
+        return sum(m.to_bytes(self.size, "big"))
+
+    def key(self, m: int) -> int:
+        return (self.degree(m) << self.bits) - m if self.graded else m
+
+    def above(self, pairs):
+        """The comparison u > t for the monomials of a run on *pairs*.
+
+        When every pair is homogeneous, so is every binomial of the run,
+        and a graded order only compares monomials of equal degree: there
+        the smaller int is the larger monomial.
+        """
+        if not self.graded:
+            return int.__gt__
+        if all(self.degree(u) == self.degree(t) for u, t in pairs):
+            return int.__lt__
+        return lambda u, t: self.key(u) > self.key(t)
+
+    def divisor(self, m: int, leads) -> int:
+        """Index of the first of *leads* that divides m, or -1."""
+        guard = self.guard
+        high = m | guard
+        for k, g in enumerate(leads):
+            if (high - g) & guard == guard:
+                return k
+        return -1
+
+    def lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # guard bits of the bytes with a_k >= b_k
+        return b ^ ((a ^ b) & (ge - (ge >> 7)))
+
+    def support(self, m: int) -> int:
+        return ((m | self.guard) - self.ones) & self.guard
+
+    def check(self, m: int) -> None:
+        """Raise when an addition carried an exponent into its guard bit.
+
+        Both summands of each byte are below _LIMIT, so their sum still
+        fits the byte: checked after every addition, nothing can have
+        carried into the next byte.
+        """
+        if m & self.guard:
+            raise ResourceGuard(f"buchberger: an exponent reached {_LIMIT}")
+
+    def pairs(self, gens) -> list[tuple[int, int]]:
+        """The binomials packed, oriented and deduplicated, zeros dropped."""
+        out = []
+        seen = set()
+        for f in gens:
+            u, t = self.pack(f.lead), self.pack(f.tail)
+            if u == t:
+                continue
+            if self.key(u) < self.key(t):
+                u, t = t, u
+            if (u, t) not in seen:
+                seen.add((u, t))
+                out.append((u, t))
+        return out
+
+    def binomials(self, leads, tails) -> list[Binomial]:
+        return [Binomial(self.unpack(u), self.unpack(t)) for u, t in zip(leads, tails)]
+
+
+# ---------------------------------------------------------------------------
+# binomial Buchberger
+# ---------------------------------------------------------------------------
 
 class _Budget:
     def __init__(self, limit: int, what: str):
@@ -241,86 +351,60 @@ class _Budget:
             raise BudgetExhausted(f"{self.what}: exceeded {self.limit} steps")
 
 
-def _top_reduce(f: Binomial | None, basis, order, budget) -> Binomial | None:
-    """Reduce the lead until no basis lead divides it.  None means zero."""
-    while f is not None:
-        for g in basis:
-            if _divides(g.lead, f.lead):
-                budget.tick()
-                shift = _vsub(f.lead, g.lead)
-                f = _orient(_vadd(shift, g.tail), f.tail, order)
-                break
-        else:
-            return f
-    return None
-
-
 def buchberger(gens, order: TermOrder, budget_limit: int = 500_000) -> list[Binomial]:
     """A Groebner basis of the binomial ideal generated by *gens*.
 
-    Normal selection (smallest S-pair lcm first), plus the coprime-lead
-    criterion.  All arithmetic stays pure difference; a budget bounds
-    the total number of reduction and pair steps.
+    Normal selection (smallest S-pair lcm degree first), plus the
+    coprime-lead criterion.  All arithmetic stays pure difference, on
+    monomials packed into ints (see _Packing): the inputs are packed
+    once, every divisibility test is one subtraction and a mask, a
+    reduction step is lead - g.lead + g.tail, and the basis is unpacked
+    once at the end.  An exponent reaching _LIMIT raises ResourceGuard;
+    a budget bounds the total number of reduction and pair steps.
     """
+    gens = list(gens)
+    if not gens:
+        return []
+    pk = _Packing(order, len(gens[0].lead))
     budget = _Budget(budget_limit, "buchberger")
-    basis: list[Binomial] = []
-    seen = set()
-    for f in gens:
-        g = _orient(f.lead, f.tail, order) if isinstance(f, Binomial) else f
-        if g is not None and (g.lead, g.tail) not in seen:
-            seen.add((g.lead, g.tail))
-            basis.append(g)
-
+    pairs = pk.pairs(gens)
+    leads = [u for u, _ in pairs]
+    tails = [t for _, t in pairs]
+    supports = [pk.support(u) for u in leads]
+    above, divisor, check = pk.above(pairs), pk.divisor, pk.check
     heap: list = []
 
     def push_pairs(j):
+        lj, sj = leads[j], supports[j]
         for i in range(j):
-            li, lj = basis[i].lead, basis[j].lead
-            if all(min(a, b) == 0 for a, b in zip(li, lj)):
+            if not supports[i] & sj:
                 continue  # coprime leads reduce to zero
-            lcm = _vmax(li, lj)
-            heapq.heappush(heap, (sum(lcm), lcm, i, j))
+            lcm = pk.lcm(leads[i], lj)
+            heapq.heappush(heap, (pk.degree(lcm), lcm, i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(leads)):
         push_pairs(j)
 
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
         budget.tick()
-        fi, fj = basis[i], basis[j]
-        if _vmax(fi.lead, fj.lead) != lcm:
-            continue  # stale entry
-        s = _orient(
-            _vadd(_vsub(lcm, fj.lead), fj.tail),
-            _vadd(_vsub(lcm, fi.lead), fi.tail),
-            order,
-        )
-        s = _top_reduce(s, basis, order, budget)
-        if s is None:
-            continue
-        if (s.lead, s.tail) in seen:
-            continue
-        seen.add((s.lead, s.tail))
-        basis.append(s)
-        push_pairs(len(basis) - 1)
-    return basis
-
-
-def _tail_reduce(f: Binomial, basis, order, budget) -> Binomial:
-    t = f.tail
-    changed = True
-    while changed:
-        changed = False
-        for g in basis:
-            if _divides(g.lead, t):
-                budget.tick()
-                t = _vadd(_vsub(t, g.lead), g.tail)
-                changed = True
+        u = lcm - leads[j] + tails[j]
+        t = lcm - leads[i] + tails[i]
+        check(u | t)
+        while u != t:
+            if above(t, u):
+                u, t = t, u
+            k = divisor(u, leads)
+            if k < 0:
+                leads.append(u)
+                tails.append(t)
+                supports.append(pk.support(u))
+                push_pairs(len(leads) - 1)
                 break
-    # tails only move down in the order, so they can never meet the lead
-    if t == f.lead:
-        raise Falsification(f"tail reduction collapsed a binomial: {f}")
-    return Binomial(f.lead, t)
+            budget.tick()
+            u = u - leads[k] + tails[k]
+            check(u)
+    return pk.binomials(leads, tails)
 
 
 def reduced_groebner(gens, order: TermOrder, budget_limit: int = 500_000) -> tuple[Binomial, ...]:
@@ -329,15 +413,29 @@ def reduced_groebner(gens, order: TermOrder, budget_limit: int = 500_000) -> tup
     Deterministic: output sorted by the order key of the leads.
     """
     basis = buchberger(gens, order, budget_limit)
+    if not basis:
+        return ()
+    pk = _Packing(order, len(basis[0].lead))
     budget = _Budget(budget_limit, "interreduction")
-    basis.sort(key=lambda g: order.key(g.lead))
-    minimal: list[Binomial] = []
-    for g in basis:
-        if not any(_divides(h.lead, g.lead) for h in minimal):
-            minimal.append(g)
-    reduced = [_tail_reduce(g, minimal, order, budget) for g in minimal]
-    reduced.sort(key=lambda g: order.key(g.lead))
-    return tuple(reduced)
+    leads: list[int] = []
+    tails: list[int] = []
+    # a lead's divisors come no later in the order, so one pass in
+    # ascending order keeps exactly the minimal leads
+    for u, t in sorted(pk.pairs(basis), key=lambda p: pk.key(p[0])):
+        if pk.divisor(u, leads) < 0:
+            leads.append(u)
+            tails.append(t)
+    reduced = []
+    for u, t in zip(leads, tails):
+        while (k := pk.divisor(t, leads)) >= 0:
+            budget.tick()
+            t = t - leads[k] + tails[k]
+            pk.check(t)
+        # tails only move down in the order, so they can never meet the lead
+        if t == u:
+            raise Falsification(f"tail reduction collapsed a binomial: {pk.binomials([u], [t])[0]}")
+        reduced.append(t)
+    return tuple(pk.binomials(leads, reduced))
 
 
 # ---------------------------------------------------------------------------

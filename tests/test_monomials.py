@@ -94,6 +94,35 @@ class TestMinimalGenerators:
             for b in ideal.gens:
                 assert a == b or not a.divides(b)
 
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * 4),
+            max_size=14,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_degrees_match_brute_force(self, exps):
+        monomials = [Monomial(e) for e in exps if sum(e) > 0]
+        got = minimal_generators(4, monomials).gens
+        assert sorted(got, key=lambda g: g.exps) == sorted(
+            brute_minimalize(monomials), key=lambda g: g.exps
+        )
+
+    def test_equigenerated_power_makes_no_divisibility_test(self, monkeypatch):
+        # the products all share one degree, so none can divide another
+        calls = []
+        original = Monomial.divides
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        ideal = sturmfels_ideal()
+        monkeypatch.setattr(Monomial, "divides", counting)
+        cube = ideal.power(3)
+        assert cube.is_equigenerated() and cube.num_gens > 0
+        assert calls == []
+
 
 class TestIdeal:
     def test_unit_ideal_rejected(self):

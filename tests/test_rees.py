@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import ideal_of, m_squared, square_corpus, square_straddle_ideal, squarefree_corpus
 import linres.rees as rees_mod
 from linres import pipeline
-from linres.errors import BudgetExhausted, Falsification, InputError
+from linres.errors import BudgetExhausted, Falsification, InputError, ResourceGuard
 from linres.graphs import check_star, check_star_star, complement, dirac_labeling, graph_of_ideal, is_chordal
 from linres.monomials import MonomialIdeal
 from linres.rees import (
@@ -21,6 +23,7 @@ from linres.rees import (
     groebner_vs_walks,
     orientation_free,
     realize_walk,
+    buchberger,
     reduced_groebner,
     toric_basis_by_elimination,
     toric_ideal_basis,
@@ -286,6 +289,70 @@ def test_analyze_at_n8(ideal, x_degree_ok, size):
     assert report["falsifications"] == 0
     assert report["rees"]["x_degree"]["ok"] is x_degree_ok
     assert len(report["rees"]["groebner"]["elements"]) == size
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ideal, x_degree_ok, size", [
+    (dirac_relabeled(co_path(9)), True, 217),
+    (co_cycle(9), False, 226),
+], ids=["relabeled co-P9", "co-C9"])
+def test_toric_basis_at_n9(ideal, x_degree_ok, size):
+    basis = toric_ideal_basis(ideal)
+    assert len(basis.elements) == size
+    assert x_degree_check(basis).ok is x_degree_ok
+
+
+# the packed kernel against the tuple definitions, on the ring of co-C5
+# (five x and five y variables) with exponents up to just below the limit
+KERNEL_RING = ReesRing.from_ideal(CO_C5)
+LIMIT = rees_mod._LIMIT
+exponent = st.one_of(st.integers(0, 2), st.integers(LIMIT - 2, LIMIT - 1))
+exponent_vector = st.tuples(*[exponent] * KERNEL_RING.num_vars)
+kernel_order = st.one_of(
+    st.just(KERNEL_RING.edge_lex()),
+    st.builds(KERNEL_RING.grevlex_last, st.integers(0, KERNEL_RING.num_vars - 1)),
+)
+
+
+class TestPackedKernel:
+    @given(kernel_order, exponent_vector, exponent_vector)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_tuple_definitions(self, order, a, b):
+        pk = rees_mod._Packing(order, KERNEL_RING.num_vars)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a and pk.unpack(pb) == b
+        assert pk.degree(pa) == sum(a)
+        # divisor() gives the index of the first lead dividing its monomial
+        assert (pk.divisor(pb, [pa]) == 0) is all(x <= y for x, y in zip(a, b))
+        assert (pk.divisor(pa, [pb]) == 0) is all(y <= x for x, y in zip(a, b))
+        lcm = pk.lcm(pa, pb)
+        assert pk.unpack(lcm) == tuple(max(x, y) for x, y in zip(a, b))
+        assert pk.divisor(lcm, [pb, pa]) == 0 and pk.divisor(lcm, [pa]) == 0
+        coprime = not pk.support(pa) & pk.support(pb)
+        assert coprime is all(min(x, y) == 0 for x, y in zip(a, b))
+        assert (pk.key(pa) > pk.key(pb)) is order.gt(a, b)
+        assert (pk.key(pa) == pk.key(pb)) is (a == b)
+        # a run on homogeneous pairs compares only monomials of one degree
+        c = a[::-1]
+        above = pk.above([(pa, pk.pack(c))])
+        assert above(pa, pk.pack(c)) is order.gt(a, c)
+        assert pk.above([(pa, pb)])(pa, pb) is order.gt(a, b)
+
+    def test_exponent_past_the_limit_in_the_input(self):
+        order = TermOrder("lex", (0, 1), graded=False)
+        with pytest.raises(ResourceGuard):
+            buchberger([Binomial((LIMIT, 0), (0, 1))], order)
+
+    def test_exponent_past_the_limit_during_reduction(self):
+        # lex x > y: the pair x - y^100, x^2 - y gives x*y^100 - y, whose
+        # lead x reduces to y^200
+        order = TermOrder("lex", (0, 1), graded=False)
+        gens = [Binomial((1, 0), (0, 100)), Binomial((2, 0), (0, 1))]
+        with pytest.raises(ResourceGuard):
+            buchberger(gens, order)
+        # well below the limit the same pair has a basis
+        small = [Binomial((1, 0), (0, 10)), Binomial((2, 0), (0, 1))]
+        assert reduced_groebner(small, order)
 
 
 class TestReducedGroebner:
