@@ -46,7 +46,6 @@ from .graphs import (
     graph_of_ideal,
     graph_to_json,
     is_chordal,
-    is_quasi_tree,
     leaf_order,
     maximal_cliques,
 )

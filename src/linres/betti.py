@@ -582,12 +582,14 @@ def powers_linear_report(
     fields=(QQ, GF2),
     max_power: int = 2,
     multidegree_cap: int | None = MULTIDEGREE_CAP,
+    tables: dict[str, BettiTable] | None = None,
 ) -> list[dict]:
     """Per-power linearity records (see power_record) for I, I^2, ..., I^max_power.
 
-    The multidegree cap guards the Koszul scan; when it trips, the abort
-    is recorded for that power and the remaining powers are skipped (they
-    can only be larger).
+    *tables*, when given, are the checked tables of I itself, read for
+    k = 1 instead of walking I again.  The multidegree cap guards the
+    Koszul scan; when it trips, the abort is recorded for that power and
+    the remaining powers are skipped (they can only be larger).
     """
     if ideal.is_zero():
         raise InputError("powers of the zero ideal are not informative")
@@ -595,9 +597,9 @@ def powers_linear_report(
         raise InputError(f"max_power must be >= 1, got {max_power}")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    out = []
-    for k in range(1, max_power + 1):
-        out.append(power_record(k, ideal.power(k), fields, multidegree_cap))
+    out = [power_record(1, ideal, fields, multidegree_cap, tables)]
+    for k in range(2, max_power + 1):
         if out[-1]["linear"] is None:
             break
+        out.append(power_record(k, ideal.power(k), fields, multidegree_cap))
     return out

@@ -323,6 +323,8 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
 
 
 def cmd_walks(args) -> tuple[dict, list[str]]:
+    if args.walk_bound is not None and args.walk_bound < 0:
+        raise InputError(f"--walk-bound must be >= 0, got {args.walk_bound}")
     ideal, names = ideal_from_json(_load_json(args.ideal))
     basis = toric_ideal_basis(ideal)
     cross = groebner_vs_walks(basis, args.walk_bound)

@@ -391,10 +391,6 @@ def leaf_order(complex_: SimplicialComplex) -> tuple[int, ...] | None:
     return tuple(reversed(reversed_order))
 
 
-def is_quasi_tree(complex_: SimplicialComplex) -> bool:
-    return leaf_order(complex_) is not None
-
-
 # ---------------------------------------------------------------------------
 # quasi-tree vertex relabeling
 # ---------------------------------------------------------------------------

@@ -105,16 +105,6 @@ def _searched_order(ideal, names) -> dict:
             "order": [monomials.format_monomial(m, names) for m in found]}
 
 
-def _powers(ideal, fields, max_power, tables) -> list[dict]:
-    """Power records for k = 1..max_power; k = 1 reads the Betti stage's tables."""
-    records = [betti.power_record(1, ideal, fields, tables=tables)]
-    for k in range(2, max_power + 1):
-        records.append(betti.power_record(k, ideal.power(k), fields))
-        if records[-1]["linear"] is None:
-            break
-    return records
-
-
 def _check_quotients_vs_betti(lq: dict, linear: dict[str, bool]) -> None:
     if lq["ok"] is True and not all(linear.values()):
         raise Falsification(
@@ -157,7 +147,7 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
         del lq["via"]  # the non-quadratic report names no route for an unknown
     report["linear_quotients"] = lq
     _check_quotients_vs_betti(lq, linear)
-    report["powers"] = _powers(ideal, fields, max_power, tables)
+    report["powers"] = betti.powers_linear_report(ideal, fields, max_power, tables=tables)
     return report
 
 
@@ -244,7 +234,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
 
     # stage 5: powers
     t0 = time.perf_counter()
-    records = _powers(ideal, fields, max_power, tables)
+    records = betti.powers_linear_report(ideal, fields, max_power, tables=tables)
     timings["powers"] = round(time.perf_counter() - t0, 3)
     report["powers"] = records
     for rec in records:

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import linres.rees as rees_mod
 from linres.cli import main
 from linres.errors import Falsification
 
@@ -274,6 +275,20 @@ class TestWalks:
         assert rc == 0
         assert report["groebner_cross_check"]["covered"]
         assert report["groebner_cross_check"]["realized"] == []
+
+    def test_negative_bound_is_an_input_error(self, capsys, msq):
+        rc, out, err = run(capsys, "walks", msq, "--walk-bound", "-1")
+        assert rc == 2 and "--walk-bound" in err and out == ""
+
+    def test_search_budget_exits_2(self, capsys, monkeypatch, tmp_path):
+        # the complement of C5 takes 34,757 search steps
+        monkeypatch.setattr(rees_mod, "WALK_SEARCH_BUDGET", 10_000)
+        path = write_ideal(tmp_path, "co_c5.json", [f"x{i}" for i in range(1, 6)],
+                           ["x1*x3", "x1*x4", "x2*x4", "x2*x5", "x3*x5"])
+        rc, out, err = run(capsys, "walks", path)
+        assert rc == 2 and "even_closed_walks: exceeded 10000 steps" in err
+        monkeypatch.undo()
+        assert run(capsys, "walks", path)[0] == 0
 
 
 class TestExitCodes:

@@ -28,7 +28,6 @@ from linres.graphs import (
     graph_to_json,
     is_chordal,
     is_leaf,
-    is_quasi_tree,
     leaf_order,
     maximal_cliques,
     verify_peo,
@@ -238,7 +237,6 @@ class TestLeavesAndOrders:
             3, (frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3}))
         )
         assert leaf_order(hollow) is None
-        assert not is_quasi_tree(hollow)
         # oracle: no facet ordering works either
         for perm in itertools.permutations(range(3)):
             assert not all(

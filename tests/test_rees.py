@@ -158,9 +158,6 @@ class TestToricBasis:
         with pytest.raises(BudgetExhausted):
             toric_ideal_basis(C4_IDEAL, budget_limit=5)
 
-    def test_hilbert_selfcheck_recorded(self):
-        assert toric_ideal_basis(m_squared()).hilbert_checked_to == 2
-
     def test_json_shape(self):
         blob = toric_ideal_basis(m_squared()).to_json()
         assert {"order", "elements"} <= set(blob)
@@ -265,6 +262,85 @@ class TestDegreeTwoSeed:
                            for j in range(ring.num_vars))
                      for pair in itertools.combinations_with_replacement(range(ring.num_vars), 2)]
         assert len(seed) == len(monomials) - len({image(m) for m in monomials})
+
+
+def brute_hilbert_mismatch(ring, elements):
+    """The first degree d <= 2 whose standard monomials and semigroup
+    values differ in number, as (d, standard, values), or None: every
+    monomial of T of degree d is tested against every lead."""
+    cols = ring.columns()
+    leads = [g.lead for g in elements]
+    for d in (1, 2):
+        std = 0
+        images = set()
+        for combo in itertools.combinations_with_replacement(range(ring.num_vars), d):
+            exps = [0] * ring.num_vars
+            for j in combo:
+                exps[j] += 1
+            images.add(tuple(map(sum, zip(*(cols[j] for j in combo)))))
+            if not any(all(a <= b for a, b in zip(lead, exps)) for lead in leads):
+                std += 1
+        if std != len(images):
+            return d, std, len(images)
+    return None
+
+
+class TestHilbertCertificate:
+    @staticmethod
+    def check(basis, elements):
+        ring = basis.ring
+        rees_mod._hilbert_agreement(ring, elements, ring.degree_two_seed())
+
+    @staticmethod
+    def corrupted(basis, rng):
+        """The basis with its last element dropped, a random element
+        dropped, and its first element duplicated."""
+        elements = basis.elements
+        if not elements:
+            return []
+        k = rng.randrange(len(elements))
+        return [elements[:-1], elements[:k] + elements[k + 1:], elements[:1] + elements]
+
+    def test_raises_on_a_dropped_degree_two_element(self):
+        basis = toric_ideal_basis(CO_C5)
+        quadrics = [k for k, g in enumerate(basis.elements) if sum(g.lead) == 2]
+        assert quadrics
+        k = quadrics[-1]
+        elements = basis.elements[:k] + basis.elements[k + 1:]
+        with pytest.raises(Falsification, match="Hilbert mismatch in degree 2"):
+            self.check(basis, elements)
+        assert brute_hilbert_mismatch(basis.ring, elements)[0] == 2
+
+    def test_raises_on_a_lead_of_degree_one(self):
+        basis = toric_ideal_basis(C4_IDEAL)
+        ring = basis.ring
+        elements = basis.elements + (named_binomial(ring, ("x1",), ("x2",)),)
+        n = ring.num_vars
+        with pytest.raises(Falsification,
+                           match=f"degree 1: {n - 1} standard monomials vs {n} semigroup"):
+            self.check(basis, elements)
+        assert brute_hilbert_mismatch(ring, elements) == (1, n - 1, n)
+
+    def test_same_verdict_and_counts_as_brute_force(self):
+        # a seeded sample of corpus bases, relabeled co-P6 and co-C6, and
+        # three corrupted copies of each
+        rng = random.Random(2026)
+        corpus = list(squarefree_corpus(5)) + list(square_corpus(4))
+        raised = 0
+        for ideal in rng.sample(corpus, 150) + [dirac_relabeled(co_path(6)), co_cycle(6)]:
+            basis = toric_ideal_basis(ideal)
+            for elements in [basis.elements] + self.corrupted(basis, rng):
+                expected = brute_hilbert_mismatch(basis.ring, elements)
+                if expected is None:
+                    self.check(basis, elements)
+                    continue
+                raised += 1
+                d, std, values = expected
+                with pytest.raises(Falsification) as exc:
+                    self.check(basis, elements)
+                assert str(exc.value) == (f"Hilbert mismatch in degree {d}: {std} standard "
+                                          f"monomials vs {values} semigroup values")
+        assert raised > 100
 
 
 @pytest.mark.slow
@@ -399,14 +475,14 @@ class TestXDegree:
     def test_pure_y_binomial_passes(self):
         ring = ReesRing.from_ideal(m_squared())
         g = named_binomial(ring, ("y[1,1]", "y[2,2]"), ("y[1,2]", "y[1,2]"))
-        basis = ToricBasis(ring, ring.edge_lex(), (g,), 0)
+        basis = ToricBasis(ring, ring.edge_lex(), (g,))
         report = x_degree_check(basis)
         assert report.ok and report.max_x_degree == 0
 
     def test_artificial_violation(self):
         ring = ReesRing.from_ideal(ideal_of(4, (1, 2), (3, 4)))
         bad = named_binomial(ring, ("x1", "x2", "y[3,4]"), ("x3", "x4", "y[1,2]"))
-        report = x_degree_check(ToricBasis(ring, ring.edge_lex(), (bad,), 0))
+        report = x_degree_check(ToricBasis(ring, ring.edge_lex(), (bad,)))
         assert not report.ok
         assert report.max_x_degree == 2 and report.witness == bad
 
