@@ -355,11 +355,11 @@ def _strand_homology(facets: list[int], fields) -> list[dict[int, int]]:
     return out
 
 
-def koszul_tables(
-    ideal: MonomialIdeal,
-    fields,
-    multidegree_cap: int | None = None,
-) -> dict[str, BettiTable]:
+# the most multidegrees one Koszul scan may visit
+MULTIDEGREE_CAP = 2_000_000
+
+
+def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     """The graded Betti tables of a nonzero monomial ideal, one per field.
 
     The result maps each field's label to its table, in the order of
@@ -370,9 +370,9 @@ def koszul_tables(
     is skipped when x^a is not in the ideal (K_a is void), when a is not
     the lcm of the generators dividing x^a (it lies outside the LCM
     lattice, and K_a is a cone), and when the facets of K_a share a
-    vertex (K_a is a cone).  ``multidegree_cap`` aborts with
-    ResourceGuard when the whole box holds more multidegrees than the
-    cap, before anything is scanned.
+    vertex (K_a is a cone).  The scan aborts with ResourceGuard, before
+    anything is scanned, when the whole box holds more multidegrees than
+    MULTIDEGREE_CAP.
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
@@ -383,9 +383,9 @@ def koszul_tables(
     box = 1
     for e in maxvec:
         box *= e + 1
-    if multidegree_cap is not None and box > multidegree_cap:
+    if box > MULTIDEGREE_CAP:
         raise ResourceGuard(
-            f"{box} candidate multidegrees exceed the cap {multidegree_cap}"
+            f"{box} candidate multidegrees exceed the cap {MULTIDEGREE_CAP}"
         )
 
     # le[v][t]: bitset of the generators whose exponent of x_v is at most t;
@@ -448,13 +448,9 @@ def koszul_tables(
     }
 
 
-def koszul_betti(
-    ideal: MonomialIdeal,
-    field: FieldSpec = QQ,
-    multidegree_cap: int | None = None,
-) -> BettiTable:
+def koszul_betti(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     """The graded Betti table of a nonzero monomial ideal over one field (see koszul_tables)."""
-    return koszul_tables(ideal, (field,), multidegree_cap)[field.label]
+    return koszul_tables(ideal, (field,))[field.label]
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +495,7 @@ def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
 # verdicts
 # ---------------------------------------------------------------------------
 
-def check_polarization(ideal: MonomialIdeal, *tables: BettiTable,
-                       multidegree_cap: int | None = None) -> None:
+def check_polarization(ideal: MonomialIdeal, *tables: BettiTable) -> None:
     """Cross-check a quadratic ideal with squares against its polarization.
 
     Polarization keeps the graded Betti numbers, so the Koszul table of
@@ -511,8 +506,7 @@ def check_polarization(ideal: MonomialIdeal, *tables: BettiTable,
     """
     if ideal.degree != 2 or ideal.is_squarefree():
         return
-    pol = koszul_tables(ideal.polarize(), [t.field for t in tables],
-                        multidegree_cap=multidegree_cap)
+    pol = koszul_tables(ideal.polarize(), [t.field for t in tables])
     for table in tables:
         got = pol[table.field.label]
         if got.entries != table.entries:
@@ -522,18 +516,16 @@ def check_polarization(ideal: MonomialIdeal, *tables: BettiTable,
             )
 
 
-def checked_tables(ideal: MonomialIdeal, fields=(QQ,),
-                   multidegree_cap: int | None = None) -> dict[str, BettiTable]:
+def checked_tables(ideal: MonomialIdeal, fields=(QQ,)) -> dict[str, BettiTable]:
     """The Koszul tables of I over *fields* (see koszul_tables), after the
     polarization cross-check; one walk of I and at most one of its
     polarization serve every field."""
-    tables = koszul_tables(ideal, fields, multidegree_cap=multidegree_cap)
-    check_polarization(ideal, *tables.values(), multidegree_cap=multidegree_cap)
+    tables = koszul_tables(ideal, fields)
+    check_polarization(ideal, *tables.values())
     return tables
 
 
-def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ,
-                         multidegree_cap: int | None = None) -> bool:
+def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ) -> bool:
     """Does the minimal free resolution of I live on a single linear strand?
 
     Requires a nonzero equigenerated ideal.  The verdict is read from the
@@ -544,15 +536,10 @@ def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ,
         raise InputError("linearity of the zero ideal is not defined")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    return checked_tables(ideal, (field,), multidegree_cap)[field.label].is_linear
-
-
-# the multidegree cap of every Koszul scan the command line starts
-MULTIDEGREE_CAP = 2_000_000
+    return checked_tables(ideal, (field,))[field.label].is_linear
 
 
 def power_record(k: int, power: MonomialIdeal, fields,
-                 multidegree_cap: int | None = MULTIDEGREE_CAP,
                  tables: dict[str, BettiTable] | None = None) -> dict:
     """The linearity record of one power I^k.
 
@@ -566,7 +553,7 @@ def power_record(k: int, power: MonomialIdeal, fields,
     t0 = time.perf_counter()
     try:
         if not tables:
-            tables = checked_tables(power, fields, multidegree_cap)
+            tables = checked_tables(power, fields)
         for f in fields:
             record["linear"][f.label] = tables[f.label].is_linear
     except ResourceGuard as exc:
@@ -581,7 +568,6 @@ def powers_linear_report(
     ideal: MonomialIdeal,
     fields=(QQ, GF2),
     max_power: int = 2,
-    multidegree_cap: int | None = MULTIDEGREE_CAP,
     tables: dict[str, BettiTable] | None = None,
 ) -> list[dict]:
     """Per-power linearity records (see power_record) for I, I^2, ..., I^max_power.
@@ -597,9 +583,9 @@ def powers_linear_report(
         raise InputError(f"max_power must be >= 1, got {max_power}")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    out = [power_record(1, ideal, fields, multidegree_cap, tables)]
+    out = [power_record(1, ideal, fields, tables)]
     for k in range(2, max_power + 1):
         if out[-1]["linear"] is None:
             break
-        out.append(power_record(k, ideal.power(k), fields, multidegree_cap))
+        out.append(power_record(k, ideal.power(k), fields))
     return out

@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from . import pipeline
-from .betti import GF2, MULTIDEGREE_CAP, QQ, FieldSpec, koszul_tables, powers_linear_report
+from .betti import GF2, QQ, FieldSpec, koszul_tables, powers_linear_report
 from .errors import (
     BudgetExhausted,
     Falsification,
@@ -204,7 +204,7 @@ def cmd_betti(args) -> tuple[dict, list[str]]:
     fields = _parse_fields(args.field)
     report = {"command": "betti", "input": ideal_to_json(ideal, names), "tables": {}}
     lines = [f"ideal: {_ideal_blurb(ideal)}"]
-    for label, table in koszul_tables(ideal, fields, MULTIDEGREE_CAP).items():
+    for label, table in koszul_tables(ideal, fields).items():
         shown = report["tables"][label] = table.to_json()
         lines.extend(_table_lines(label, shown))
     return report, lines

@@ -355,19 +355,6 @@ def is_leaf(complex_: SimplicialComplex, facet_index: int, among=None) -> bool:
     return False
 
 
-def free_vertices(complex_: SimplicialComplex, facet_index: int, among=None) -> frozenset[int]:
-    """Vertices of the chosen facet that belong to no other facet."""
-    facets = complex_.facets
-    if among is None:
-        among = range(len(facets))
-    f = facets[facet_index]
-    out = set(f)
-    for i in among:
-        if i != facet_index:
-            out -= facets[i]
-    return frozenset(out)
-
-
 def leaf_order(complex_: SimplicialComplex) -> tuple[int, ...] | None:
     """A facet order F_1..F_m with each F_i a leaf of <F_1..F_i>, or None.
 

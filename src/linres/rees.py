@@ -688,59 +688,70 @@ def _walk_canonical(edge_seq: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-# search steps one even_closed_walks run may take: the n <= 4 corpus
-# peaks at 229,393 and the complement of C5 takes 34,757
+# search steps one even_closed_walks run may take: the 2117-ideal corpus
+# peaks at 60,961 (the edge ideal of K5), the complements of C6 and P6
+# take 49,680 and 85,342, and the complement of C7 exceeds it
 WALK_SEARCH_BUDGET = 1_000_000
 
 
 def even_closed_walks(ring: ReesRing, bound: int | None = None):
-    """All closed even walks of the cone graph up to the length bound.
+    """The closed even walks of the cone graph, up to the length bound,
+    that can give a primitive binomial.
 
-    Enumeration is restricted to walks whose start is their smallest
-    vertex, with every edge used at most twice and every vertex visited
-    at most twice (the start may also take its final return).  Primitive
-    walks all satisfy these limits, which is what the callers need; the
-    default bound of twice the edge count always covers them.
-    Deduplicated up to rotation and reversal.  The search raises
-    BudgetExhausted after WALK_SEARCH_BUDGET steps.
+    Each walk starts at its smallest vertex, and a step may not land on a
+    vertex at a position of the same parity as an earlier visit to it.
+    The one exception is the even step back to the start, which records
+    the walk and ends the branch.  Deduplicated up to rotation and
+    reversal.  The search raises BudgetExhausted after WALK_SEARCH_BUDGET
+    steps.
+
+    No primitive walk is lost.  Say v_i = v_j at positions i < j with
+    j - i even, other than the two ends.  The steps from i to j form a
+    nonempty closed even walk W', the rest another one, W''.  Steps keep
+    their parity, so the binomial of the walk is u'u'' - t't'', where
+    u' - t' is (up to sign) the binomial of W' and u'' - t'' that of W''.
+    If u' = t', the binomial is zero or has the common factor u'.
+    Otherwise u' - t' lies in the toric ideal, is shorter, and divides the
+    binomial side by side.  Either way the walk is not primitive.  A
+    rotation shifts every position by the same amount modulo the even
+    length, and a reflection sends p to L - p; neither changes which
+    positions share a parity.  So a primitive walk obeys the rule read
+    from every start and in both directions, and the search builds it.
+    Each vertex then sits at most twice in a walk, so a primitive walk
+    takes at most 2(n + 1) steps, within the default bound.
     """
     budget = _Budget(WALK_SEARCH_BUDGET, "even_closed_walks")
     adj = _omega_adjacency(ring)
-    num_edges = ring.n + len(ring.edges)
     if bound is None:
-        bound = 2 * num_edges
+        bound = 2 * (ring.n + len(ring.edges))
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for start in range(1, ring.n + 2):
-        visits = {v: 0 for v in adj}
-        visits[start] = 1
-        edge_use = [0] * num_edges
+        # parity[v]: bit 1 once v sits at an even position, bit 2 at an odd
+        # one; the start's bit 1 stays clear, since an even step onto the
+        # start closes the walk
+        parity = dict.fromkeys(adj, 0)
         vseq = [start]
         eseq: list[int] = []
 
         def dfs(v: int):
             budget.tick()
-            if v == start and eseq and len(eseq) % 2 == 0:
-                key = _walk_canonical(tuple(eseq))
-                if key not in found:
-                    found[key] = tuple(vseq)
             if len(eseq) >= bound:
                 return
+            bit = 2 >> (len(eseq) % 2)  # the parity of the next position
             for u, var in adj[v]:
-                if u < start or edge_use[var] >= 2:
+                if u < start or parity[u] & bit:
                     continue
-                cap = 3 if u == start else 2
-                if visits[u] >= cap:
-                    continue
-                visits[u] += 1
-                edge_use[var] += 1
                 vseq.append(u)
                 eseq.append(var)
-                dfs(u)
+                if u == start and bit == 1:
+                    found.setdefault(_walk_canonical(tuple(eseq)), tuple(vseq))
+                else:
+                    parity[u] |= bit
+                    dfs(u)
+                    parity[u] &= ~bit
                 vseq.pop()
                 eseq.pop()
-                visits[u] -= 1
-                edge_use[var] -= 1
 
         dfs(start)
 
@@ -858,21 +869,22 @@ def _realize_dfs(ends, remaining, seq, start, total) -> bool:
 
 
 def _primitive_pairs(candidates: set[tuple[tuple[int, ...], tuple[int, ...]]]):
-    """Drop every pair that another candidate divides side by side."""
-    out = set()
-    for u, t in candidates:
-        dominated = False
-        for u2, t2 in candidates:
-            if (u2, t2) == (u, t):
-                continue
-            if (_divides(u2, u) and _divides(t2, t)) or (
-                _divides(u2, t) and _divides(t2, u)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.add((u, t))
-    return out
+    """Drop every pair that another candidate divides side by side.
+
+    Both sides of a walk binomial have degree L/2, so only a strictly
+    shorter pair can divide another, and division is transitive.  A pair
+    divided by some candidate is therefore divided by a kept one, and
+    testing each pair, by increasing degree, against the kept pairs alone
+    keeps exactly the undivided ones.
+    """
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for u, t in sorted(candidates, key=lambda pair: sum(pair[0])):
+        if not any(
+            (_divides(u2, u) and _divides(t2, t)) or (_divides(u2, t) and _divides(t2, u))
+            for u2, t2 in kept
+        ):
+            kept.append((u, t))
+    return set(kept)
 
 
 def enumerate_primitive_even_walks(ring: ReesRing, bound: int | None = None) -> list[WalkBinomial]:

@@ -14,6 +14,7 @@ from corpus import (
     sturmfels_ideal,
     terai_ideal,
 )
+import linres.betti as betti_mod
 from linres.betti import (
     GF2,
     QQ,
@@ -169,9 +170,10 @@ class TestKoszulBetti:
         triangle = ideal_of(3, (1, 2), (1, 3), (2, 3))
         assert koszul_betti(wide, QQ).entries == koszul_betti(triangle, QQ).entries
 
-    def test_resource_guard(self):
+    def test_resource_guard(self, monkeypatch):
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 3)
         with pytest.raises(ResourceGuard):
-            koszul_betti(terai_ideal(), QQ, multidegree_cap=3)
+            koszul_betti(terai_ideal(), QQ)
 
 
 GF3 = FieldSpec(3)
@@ -393,10 +395,9 @@ class TestPowers:
         )
         assert all(all(rec["linear"].values()) for rec in report)
 
-    def test_cap_abort_is_recorded(self):
-        report = powers_linear_report(
-            sturmfels_ideal(), fields=(QQ,), max_power=3, multidegree_cap=100
-        )
+    def test_cap_abort_is_recorded(self, monkeypatch):
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 100)
+        report = powers_linear_report(sturmfels_ideal(), fields=(QQ,), max_power=3)
         assert "aborted" in report[-1]
         assert report[-1]["linear"] is None
 

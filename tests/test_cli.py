@@ -281,14 +281,22 @@ class TestWalks:
         assert rc == 2 and "--walk-bound" in err and out == ""
 
     def test_search_budget_exits_2(self, capsys, monkeypatch, tmp_path):
-        # the complement of C5 takes 34,757 search steps
-        monkeypatch.setattr(rees_mod, "WALK_SEARCH_BUDGET", 10_000)
+        # the complement of C5 takes 1,315 search steps
+        monkeypatch.setattr(rees_mod, "WALK_SEARCH_BUDGET", 1_000)
         path = write_ideal(tmp_path, "co_c5.json", [f"x{i}" for i in range(1, 6)],
                            ["x1*x3", "x1*x4", "x2*x4", "x2*x5", "x3*x5"])
         rc, out, err = run(capsys, "walks", path)
-        assert rc == 2 and "even_closed_walks: exceeded 10000 steps" in err
+        assert rc == 2 and "even_closed_walks: exceeded 1000 steps" in err
         monkeypatch.undo()
         assert run(capsys, "walks", path)[0] == 0
+
+    def test_complement_of_c6_within_the_budget(self, capsys, tmp_path):
+        gens = [f"x{a}*x{b}" for a in range(1, 7) for b in range(a + 2, 7) if b - a < 5]
+        path = write_ideal(tmp_path, "co_c6.json", [f"x{i}" for i in range(1, 7)], gens)
+        rc, report = run_json(capsys, "walks", path)
+        assert rc == 0
+        assert len(report["primitive_walks"]) == 204
+        assert report["groebner_cross_check"]["covered"]
 
 
 class TestExitCodes:

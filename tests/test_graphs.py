@@ -22,7 +22,6 @@ from linres.graphs import (
     complement,
     dirac_labeling,
     edge_ideal,
-    free_vertices,
     graph_from_json,
     graph_of_ideal,
     graph_to_json,
@@ -217,13 +216,6 @@ class TestLeavesAndOrders:
         assert not is_leaf(self.path_complex, 1)
         assert is_leaf(self.path_complex, 0)
         assert is_leaf(self.path_complex, 2)
-
-    def test_free_vertices(self):
-        cx = SimplicialComplex(3, (frozenset({1, 2}), frozenset({2, 3})))
-        assert free_vertices(cx, 0) == frozenset({1})
-        assert free_vertices(cx, 1) == frozenset({3})
-        single = SimplicialComplex(3, (frozenset({1, 2, 3}),))
-        assert free_vertices(single, 0) == frozenset({1, 2, 3})
 
     def test_path_has_leaf_order(self):
         order = leaf_order(self.path_complex)

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -527,6 +528,103 @@ class TestWalks:
                     all(a <= b for a, b in zip(u2, u))
                     and all(a <= b for a, b in zip(t2, t))
                 )
+
+
+def unpruned_primitive_walks(ring, bound=None):
+    """The unpruned walk search, as a reference for the parity rule.
+
+    Every closed even walk from its smallest vertex with vertex visits at
+    most 2 (the start may also take its final return) and edge uses at
+    most 2, recorded at every even return to the start; then every pair
+    is tested against all others.  Returns (walk, (lead, tail)) in the
+    order enumerate_primitive_even_walks uses.
+    """
+    adj = rees_mod._omega_adjacency(ring)
+    if bound is None:
+        bound = 2 * ring.num_vars
+    found = {}
+    for start in range(1, ring.n + 2):
+        visits = dict.fromkeys(adj, 0)
+        visits[start] = 1
+        uses = [0] * ring.num_vars
+        vseq, eseq = [start], []
+
+        def dfs(v):
+            if v == start and eseq and len(eseq) % 2 == 0:
+                seqs = (tuple(eseq), tuple(reversed(eseq)))
+                key = min(s[i:] + s[:i] for s in seqs for i in range(len(s)))
+                found.setdefault(key, tuple(vseq))
+            if len(eseq) >= bound:
+                return
+            for u, var in adj[v]:
+                if u < start or uses[var] >= 2 or visits[u] >= (3 if u == start else 2):
+                    continue
+                visits[u] += 1
+                uses[var] += 1
+                vseq.append(u)
+                eseq.append(var)
+                dfs(u)
+                visits[u] -= 1
+                uses[var] -= 1
+                vseq.pop()
+                eseq.pop()
+
+        dfs(start)
+    walks = []
+    for key in sorted(found):
+        sides = ([0] * ring.num_vars, [0] * ring.num_vars)
+        for step, var in enumerate(key):
+            sides[step % 2][var] += 1
+        u, t = tuple(sides[0]), tuple(sides[1])
+        if u != t:
+            walks.append((found[key], max((u, t), (t, u))))
+
+    def divides(a, b):
+        return all(map(operator.le, a, b))
+
+    # every pair against every other; shorter ones first only to end early
+    pairs = sorted({pair for _, pair in walks}, key=lambda pair: sum(pair[0]))
+    primitive = {
+        (u, t) for u, t in pairs
+        if not any((u2, t2) != (u, t) and (divides(u2, u) and divides(t2, t)
+                                           or divides(u2, t) and divides(t2, u))
+                   for u2, t2 in pairs)
+    }
+    out, seen = [], set()
+    for walk, pair in walks:
+        if pair in primitive and pair not in seen:
+            seen.add(pair)
+            out.append((walk, pair))
+    return out
+
+
+class TestParityRule:
+    """The parity-pruned search finds the same primitive walks, binomials
+    and order as the unpruned one."""
+
+    @staticmethod
+    def assert_same(ideal, bound):
+        ring = ReesRing.from_ideal(ideal)
+        expected = unpruned_primitive_walks(ring, bound)
+        got = [(w.walk, (w.binomial.lead, w.binomial.tail))
+               for w in enumerate_primitive_even_walks(ring, bound)]
+        assert got == expected, (ideal, bound)
+        assert graver_basis(ring, bound) == {pair for _, pair in expected}
+
+    def test_seeded_corpus_sample(self):
+        corpus = list(squarefree_corpus(4)) + list(square_corpus(4))
+        for ideal in random.Random(10).sample(corpus, 60):
+            for bound in (None, 2, 4, 6):
+                self.assert_same(ideal, bound)
+
+    @pytest.mark.parametrize("bound", [None, 2, 4, 6])
+    def test_complement_of_c5(self, bound):
+        self.assert_same(CO_C5, bound)
+
+    def test_filter_divides_in_either_orientation(self):
+        # y - z divides x z - y^2 only with its sides swapped
+        small, big = ((0, 1, 0), (0, 0, 1)), ((1, 0, 1), (0, 2, 0))
+        assert rees_mod._primitive_pairs({small, big}) == {small}
 
 
 class TestWalkToBinomial:
