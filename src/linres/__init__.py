@@ -16,11 +16,9 @@ from .betti import (
     checked_tables,
     cohomology_dims,
     hochster_oracle,
-    homology_dims,
     is_linear_resolution,
     koszul_betti,
     koszul_tables,
-    power_record,
     powers_linear_report,
 )
 from .errors import (
@@ -57,7 +55,6 @@ from .monomials import (
     ideal_from_json,
     ideal_from_strings,
     ideal_to_json,
-    minimal_generators,
     monomial_from_support,
     parse_monomial,
 )
@@ -86,7 +83,6 @@ from .rees import (
     realize_walk,
     walk_to_binomial,
     reduced_groebner,
-    toric_basis_by_elimination,
     toric_ideal_basis,
     x_degree_check,
 )

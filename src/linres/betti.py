@@ -35,8 +35,8 @@ share as little code as possible.
 
 All ranks are exact: fraction-free integer elimination over Q, modular
 elimination over GF(p), XOR elimination over GF(2).  The test-scale
-routes homology_dims and cohomology_dims assemble their own matrices
-from frozenset faces and share no face or matrix code with the walk.
+oracle's cohomology_dims assembles its own matrices from frozenset faces
+and shares no face or matrix code with the walk.
 """
 
 from __future__ import annotations
@@ -137,52 +137,15 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# reduced simplicial (co)homology of small complexes
+# reduced simplicial cohomology of small complexes
 # ---------------------------------------------------------------------------
-
-def homology_dims(faces, field: FieldSpec) -> dict[int, int]:
-    """Reduced homology dimensions of a complex given as a face list.
-
-    *faces* must be downward closed and include the empty face when the
-    complex is nonvoid.  Faces are frozensets of vertices.  Returns only
-    the nonzero dims, keyed by homological dimension (-1 allowed).
-    """
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    if not by_dim:
-        return {}
-    for k in by_dim:
-        by_dim[k].sort()
-    top = max(by_dim)
-    ranks: dict[int, int] = {}
-    for k in range(0, top + 1):
-        # boundary from k-faces to (k-1)-faces
-        rows_idx = {f: r for r, f in enumerate(by_dim.get(k - 1, []))}
-        cols = by_dim.get(k, [])
-        if not cols or not rows_idx:
-            ranks[k] = 0
-            continue
-        mat = [[0] * len(cols) for _ in rows_idx]
-        for c, f in enumerate(cols):
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                mat[rows_idx[sub]][c] += -1 if pos % 2 else 1
-        ranks[k] = field.rank(mat)
-    out: dict[int, int] = {}
-    for k in range(-1, top + 1):
-        ck = len(by_dim.get(k, []))
-        h = ck - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        if h:
-            out[k] = h
-    return out
-
 
 def cohomology_dims(faces, field: FieldSpec) -> dict[int, int]:
     """Reduced cohomology dimensions, assembled through coboundary matrices.
 
-    Over a field these agree with homology_dims; the assembly is kept
-    separate on purpose so the two Betti routes do not share it.
+    Over a field these agree with the reduced homology dimensions; the
+    coboundary assembly keeps the Hochster route from sharing matrix code
+    with the boundary-matrix routes.
     """
     face_set = {frozenset(f) for f in faces}
     by_dim: dict[int, list[frozenset]] = {}
@@ -539,43 +502,21 @@ def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ) -> bool:
     return checked_tables(ideal, (field,))[field.label].is_linear
 
 
-def power_record(k: int, power: MonomialIdeal, fields,
-                 tables: dict[str, BettiTable] | None = None) -> dict:
-    """The linearity record of one power I^k.
-
-    It carries k, the number of minimal generators and one verdict per
-    field.  *tables*, when given, maps every field's label to the checked
-    table of I^k, which is then read instead of scanned again; otherwise
-    I^k is walked once for all the fields.  When the multidegree cap
-    trips, the record carries the abort and no verdicts.
-    """
-    record: dict = {"k": k, "num_gens": power.num_gens, "linear": {}}
-    t0 = time.perf_counter()
-    try:
-        if not tables:
-            tables = checked_tables(power, fields)
-        for f in fields:
-            record["linear"][f.label] = tables[f.label].is_linear
-    except ResourceGuard as exc:
-        record["aborted"] = str(exc)
-        record["linear"] = None
-        return record
-    record["seconds"] = round(time.perf_counter() - t0, 3)
-    return record
-
-
 def powers_linear_report(
     ideal: MonomialIdeal,
     fields=(QQ, GF2),
     max_power: int = 2,
     tables: dict[str, BettiTable] | None = None,
 ) -> list[dict]:
-    """Per-power linearity records (see power_record) for I, I^2, ..., I^max_power.
+    """Per-power linearity records for I, I^2, ..., I^max_power.
 
-    *tables*, when given, are the checked tables of I itself, read for
-    k = 1 instead of walking I again.  The multidegree cap guards the
-    Koszul scan; when it trips, the abort is recorded for that power and
-    the remaining powers are skipped (they can only be larger).
+    A record carries k, the number of minimal generators, one verdict per
+    field and the seconds taken.  *tables*, when given, are the checked
+    tables of I itself, read for k = 1 instead of walking I again; every
+    other power is walked once for all the fields.  The multidegree cap
+    guards the Koszul scan; when it trips, that power's record carries the
+    abort and no verdicts, and the remaining powers are skipped (they can
+    only be larger).
     """
     if ideal.is_zero():
         raise InputError("powers of the zero ideal are not informative")
@@ -583,9 +524,19 @@ def powers_linear_report(
         raise InputError(f"max_power must be >= 1, got {max_power}")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    out = [power_record(1, ideal, fields, tables)]
-    for k in range(2, max_power + 1):
-        if out[-1]["linear"] is None:
+    out = []
+    for k in range(1, max_power + 1):
+        power = ideal if k == 1 else ideal.power(k)
+        record: dict = {"k": k, "num_gens": power.num_gens, "linear": {}}
+        out.append(record)
+        t0 = time.perf_counter()
+        try:
+            checked = tables if k == 1 and tables else checked_tables(power, fields)
+            for f in fields:
+                record["linear"][f.label] = checked[f.label].is_linear
+        except ResourceGuard as exc:
+            record["aborted"] = str(exc)
+            record["linear"] = None
             break
-        out.append(power_record(k, ideal.power(k), fields))
+        record["seconds"] = round(time.perf_counter() - t0, 3)
     return out

@@ -250,11 +250,6 @@ def _minimalize(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
     return tuple(kept)
 
 
-def minimal_generators(n: int, monomials) -> MonomialIdeal:
-    """Build the ideal generated by *monomials*, minimalizing them."""
-    return MonomialIdeal(n, tuple(monomials))
-
-
 # ---------------------------------------------------------------------------
 # parsing and serialization
 # ---------------------------------------------------------------------------
@@ -269,7 +264,8 @@ def parse_monomial(s: str, variables: list[str]) -> Monomial:
     Two syntaxes are accepted: a ``*``-separated factor list where each
     factor is ``name`` or ``name^e`` (works for any variable names), and
     plain juxtaposition of single-letter variables with optional ``^e``
-    after a letter (e.g. ``"abd"``, ``"a^2b"``).
+    after a letter (e.g. ``"abd"``, ``"a^2b"``).  Every ``^`` must be
+    followed directly by the ASCII digits of an exponent >= 1.
     """
     s = s.strip()
     if not s:
@@ -281,19 +277,18 @@ def parse_monomial(s: str, variables: list[str]) -> Monomial:
         return Monomial(tuple(exps))
 
     def add_factor(factor: str) -> None:
-        name, _, power = factor.partition("^")
+        name, caret, power = factor.strip().partition("^")
         name = name.strip()
         if name not in index:
             raise InputError(f"unknown variable {name!r} in generator {s!r}")
-        if power:
-            try:
-                e = int(power)
-            except ValueError:
-                raise InputError(f"bad exponent {power!r} in generator {s!r}") from None
+        e = 1
+        if caret:
+            # int() alone would take "+2", " 2" and non-ASCII digits
+            if not (power.isascii() and power.isdigit()):
+                raise InputError(f"bad exponent {power!r} in generator {s!r}")
+            e = int(power)
             if e < 1:
                 raise InputError(f"exponent must be >= 1 in generator {s!r}")
-        else:
-            e = 1
         exps[index[name]] += e
 
     if "*" in s:

@@ -202,9 +202,11 @@ def construct_lq_order(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
     return tuple(order)
 
 
-def find_lq_order(
-    ideal: MonomialIdeal, budget: int = 200_000
-) -> tuple[Monomial, ...] | None:
+# candidate generators one find_lq_order search may try
+LQ_SEARCH_BUDGET = 200_000
+
+
+def find_lq_order(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None:
     """Search all generator orders for one with linear quotients.
 
     Depth-first on an explicit stack, with two prunes: a generator is
@@ -212,8 +214,8 @@ def find_lq_order(
     variable-generated, and dead prefix SETS are memoized (whether a
     next generator can extend depends on the set of chosen generators,
     not their order, so one failed set need never be revisited).  Each
-    appended node costs one unit of budget; BudgetExhausted is raised
-    when it runs out, so None means a definitive no.
+    candidate tried costs one unit of LQ_SEARCH_BUDGET; BudgetExhausted
+    is raised when it runs out, so None means a definitive no.
     """
     gens = list(ideal.gens)
     m = len(gens)
@@ -235,9 +237,9 @@ def find_lq_order(
         while idx < m:
             if not chosen >> idx & 1:
                 nodes += 1
-                if nodes > budget:
+                if nodes > LQ_SEARCH_BUDGET:
                     raise BudgetExhausted(
-                        f"order search exceeded {budget} nodes on {m} generators"
+                        f"order search exceeded {LQ_SEARCH_BUDGET} nodes on {m} generators"
                     )
                 if not _unwitnessed(rows, gens[idx].exps, chosen):
                     break

@@ -12,7 +12,7 @@ y_e x_a0 x_b0 - y_e0 x_a x_b per generator edge e other than the first
 edge e0 = (a0, b0)), seeded with the degree-2 part of the toric ideal
 (m0 - m for degree-2 monomials m0, m with the same image), saturation by
 x_b0 and then x_a0 via the reverse-lex trick for homogeneous ideals,
-then the reduced Groebner basis under the requested order.
+then the reduced Groebner basis under the edge-lex order.
 
 Everything is pure-difference binomial arithmetic; no general
 polynomial type is needed.  Binomials are exponent tuples at every
@@ -22,10 +22,8 @@ of every byte (_Packing): a divisibility test is one subtraction and a
 mask, and a reduction step is one subtraction and one addition.  The
 tuples are packed once on the way in and unpacked once on the way out;
 the saturation step, the certificates and the walks work on them.
-Two independent cross-checks live here as well: elimination (adjoin
-target variables z and eliminate them, a slow oracle for tests) and the
-combinatorial Graver basis via primitive even closed walks of the cone
-graph.
+An independent cross-check lives here as well: the combinatorial Graver
+basis via primitive even closed walks of the cone graph.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, Falsification, InputError, ResourceGuard
-from .monomials import MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, format_monomial
 
 
 def _vadd(a, b):
@@ -208,18 +206,9 @@ class ReesRing:
         return TermOrder(f"grevlex-last-{v}", ranking, graded=True)
 
 
-def format_monomial_t(exps, names) -> str:
-    parts = []
-    for e, name in zip(exps, names):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 def format_binomial(b: Binomial, names) -> str:
-    return f"{format_monomial_t(b.lead, names)} - {format_monomial_t(b.tail, names)}"
+    lead, tail = (format_monomial(Monomial(side), names) for side in (b.lead, b.tail))
+    return f"{lead} - {tail}"
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +328,11 @@ class _Packing:
 # binomial Buchberger
 # ---------------------------------------------------------------------------
 
+# reduction and pair steps one Buchberger run, and separately one
+# interreduction, may take
+GROEBNER_BUDGET = 500_000
+
+
 class _Budget:
     def __init__(self, limit: int, what: str):
         self.limit = limit
@@ -351,7 +345,7 @@ class _Budget:
             raise BudgetExhausted(f"{self.what}: exceeded {self.limit} steps")
 
 
-def buchberger(gens, order: TermOrder, budget_limit: int = 500_000) -> list[Binomial]:
+def buchberger(gens, order: TermOrder) -> list[Binomial]:
     """A Groebner basis of the binomial ideal generated by *gens*.
 
     Normal selection (smallest S-pair lcm degree first), plus the
@@ -360,13 +354,13 @@ def buchberger(gens, order: TermOrder, budget_limit: int = 500_000) -> list[Bino
     once, every divisibility test is one subtraction and a mask, a
     reduction step is lead - g.lead + g.tail, and the basis is unpacked
     once at the end.  An exponent reaching _LIMIT raises ResourceGuard;
-    a budget bounds the total number of reduction and pair steps.
+    GROEBNER_BUDGET bounds the total number of reduction and pair steps.
     """
     gens = list(gens)
     if not gens:
         return []
     pk = _Packing(order, len(gens[0].lead))
-    budget = _Budget(budget_limit, "buchberger")
+    budget = _Budget(GROEBNER_BUDGET, "buchberger")
     pairs = pk.pairs(gens)
     leads = [u for u, _ in pairs]
     tails = [t for _, t in pairs]
@@ -407,16 +401,16 @@ def buchberger(gens, order: TermOrder, budget_limit: int = 500_000) -> list[Bino
     return pk.binomials(leads, tails)
 
 
-def reduced_groebner(gens, order: TermOrder, budget_limit: int = 500_000) -> tuple[Binomial, ...]:
+def reduced_groebner(gens, order: TermOrder) -> tuple[Binomial, ...]:
     """The reduced Groebner basis: minimal leads, fully reduced tails.
 
     Deterministic: output sorted by the order key of the leads.
     """
-    basis = buchberger(gens, order, budget_limit)
+    basis = buchberger(gens, order)
     if not basis:
         return ()
     pk = _Packing(order, len(basis[0].lead))
-    budget = _Budget(budget_limit, "interreduction")
+    budget = _Budget(GROEBNER_BUDGET, "interreduction")
     leads: list[int] = []
     tails: list[int] = []
     # a lead's divisors come no later in the order, so one pass in
@@ -442,7 +436,7 @@ def reduced_groebner(gens, order: TermOrder, budget_limit: int = 500_000) -> tup
 # saturation and the toric pipeline
 # ---------------------------------------------------------------------------
 
-def _saturate_variable(gens, ring: ReesRing, v: int, budget_limit: int):
+def _saturate_variable(gens, ring: ReesRing, v: int):
     """Generators of (gens) : v^infinity, valid for homogeneous ideals.
 
     Reverse lex with v cheapest makes in(g) carry the lowest v-power of
@@ -451,7 +445,7 @@ def _saturate_variable(gens, ring: ReesRing, v: int, budget_limit: int):
     """
     order = ring.grevlex_last(v)
     out = []
-    for g in reduced_groebner(gens, order, budget_limit):
+    for g in reduced_groebner(gens, order):
         k = min(g.lead[v], g.tail[v])
         if k:
             drop = tuple(k if j == v else 0 for j in range(ring.num_vars))
@@ -477,8 +471,8 @@ class ToricBasis:
             "order": self.order.name,
             "elements": [
                 {
-                    "plus": format_monomial_t(g.lead, self.ring.names),
-                    "minus": format_monomial_t(g.tail, self.ring.names),
+                    "plus": format_monomial(Monomial(g.lead), self.ring.names),
+                    "minus": format_monomial(Monomial(g.tail), self.ring.names),
                     "deg_x": sum(g.lead[:n]),
                     "deg_y": sum(g.lead[n:]),
                 }
@@ -534,20 +528,16 @@ def _hilbert_agreement(ring: ReesRing, elements, seed) -> None:
         )
 
 
-def toric_ideal_basis(
-    ideal: MonomialIdeal,
-    order: TermOrder | None = None,
-    budget_limit: int = 500_000,
-) -> ToricBasis:
+def toric_ideal_basis(ideal: MonomialIdeal) -> ToricBasis:
     """Reduced Groebner basis of the Rees presentation ideal of I.
 
     The lattice basis of the cone graph (ReesRing.lattice_basis) and the
     degree-2 relations (ReesRing.degree_two_seed), saturated by the two
     variables of the first generator edge, then the reduced basis under
-    *order* (edge-lex by default).  The result is
-    certified two ways before being returned: every element must vanish
-    under the monomial map, and Hilbert function counts must agree in
-    degrees 1 and 2.  Failures there raise Falsification.
+    the edge-lex order.  The result is certified two ways before being
+    returned: every element must vanish under the monomial map, and
+    Hilbert function counts must agree in degrees 1 and 2.  Failures
+    there raise Falsification.
     """
     ring = ReesRing.from_ideal(ideal)
     seed = ring.degree_two_seed()
@@ -573,10 +563,9 @@ def toric_ideal_basis(
     if gens:
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):
-            gens = _saturate_variable(gens, ring, v, budget_limit)
-    if order is None:
-        order = ring.edge_lex()
-    reduced = reduced_groebner(gens, order, budget_limit)
+            gens = _saturate_variable(gens, ring, v)
+    order = ring.edge_lex()
+    reduced = reduced_groebner(gens, order)
     for g in reduced:
         if not g.coprime_sides():
             raise Falsification(
@@ -612,39 +601,6 @@ def x_degree_check(basis: ToricBasis) -> XDegreeReport:
             if d > 1 and witness is None:
                 witness = g
     return XDegreeReport(worst <= 1, worst, witness)
-
-
-# ---------------------------------------------------------------------------
-# elimination oracle (slow, for cross-checks)
-# ---------------------------------------------------------------------------
-
-def toric_basis_by_elimination(
-    ideal: MonomialIdeal, budget_limit: int = 2_000_000
-) -> tuple[Binomial, ...]:
-    """Reduced basis of the same ideal, through elimination instead.
-
-    Adjoins one z per cone-graph vertex, takes the relations
-    t_j - z^(column j), eliminates the z block with a lex order that
-    ranks it first, and restricts.  Exponential; test-scale only.
-    """
-    ring = ReesRing.from_ideal(ideal)
-    k = ring.n + 1
-    big_n = k + ring.num_vars
-    gens = []
-    for j, col in enumerate(ring.columns()):
-        lead = tuple(col) + tuple(0 for _ in range(ring.num_vars))
-        tail = tuple(0 for _ in range(k)) + tuple(
-            1 if i == j else 0 for i in range(ring.num_vars)
-        )
-        gens.append(Binomial(lead, tail))
-    ranking = tuple(range(k)) + tuple(k + r for r in ring.edge_lex().ranking)
-    order = TermOrder("elim-lex", ranking, graded=False)
-    out = []
-    for g in reduced_groebner(gens, order, budget_limit):
-        if any(g.lead[:k]) or any(g.tail[:k]):
-            continue
-        out.append(Binomial(g.lead[k:], g.tail[k:]))
-    return tuple(sorted(out, key=lambda g: ring.edge_lex().key(g.lead)))
 
 
 # ---------------------------------------------------------------------------

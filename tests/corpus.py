@@ -6,7 +6,7 @@ clever paths, so it can serve as cross-check material.
 
 from itertools import combinations, product
 
-from linres.betti import BettiTable, homology_dims
+from linres.betti import BettiTable
 from linres.graphs import Graph
 from linres.monomials import Monomial, MonomialIdeal, ideal_from_strings
 
@@ -126,6 +126,44 @@ def brute_strand_facets(ideal: MonomialIdeal, a) -> list[frozenset]:
         for g in ideal.gens
         if all(ge <= av for ge, av in zip(g.exps, a))
     ]
+
+
+def homology_dims(faces, field) -> dict[int, int]:
+    """Reduced homology dimensions of a complex given as a face list.
+
+    *faces* must be downward closed and include the empty face when the
+    complex is nonvoid.  Faces are frozensets of vertices.  Returns only
+    the nonzero dims, keyed by homological dimension (-1 allowed).
+    """
+    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    if not by_dim:
+        return {}
+    for k in by_dim:
+        by_dim[k].sort()
+    top = max(by_dim)
+    ranks: dict[int, int] = {}
+    for k in range(0, top + 1):
+        # boundary from k-faces to (k-1)-faces
+        rows_idx = {f: r for r, f in enumerate(by_dim.get(k - 1, []))}
+        cols = by_dim.get(k, [])
+        if not cols or not rows_idx:
+            ranks[k] = 0
+            continue
+        mat = [[0] * len(cols) for _ in rows_idx]
+        for c, f in enumerate(cols):
+            for pos in range(len(f)):
+                sub = f[:pos] + f[pos + 1:]
+                mat[rows_idx[sub]][c] += -1 if pos % 2 else 1
+        ranks[k] = field.rank(mat)
+    out: dict[int, int] = {}
+    for k in range(-1, top + 1):
+        ck = len(by_dim.get(k, []))
+        h = ck - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        if h:
+            out[k] = h
+    return out
 
 
 def brute_koszul_betti(ideal: MonomialIdeal, field) -> BettiTable:

@@ -9,6 +9,7 @@ from corpus import (
     all_graphs,
     brute_koszul_betti,
     brute_strand_facets,
+    homology_dims,
     ideal_of,
     square_corpus,
     sturmfels_ideal,
@@ -23,7 +24,6 @@ from linres.betti import (
     check_polarization,
     cohomology_dims,
     hochster_oracle,
-    homology_dims,
     is_linear_resolution,
     koszul_betti,
     koszul_tables,

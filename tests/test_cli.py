@@ -315,6 +315,12 @@ class TestExitCodes:
         rc, out, err = run(capsys, "analyze", path)
         assert rc == 2
 
+    def test_empty_exponent(self, capsys, tmp_path):
+        path = write_ideal(tmp_path, "caret.json", ["x1", "x2"], ["x1^*x2"])
+        rc, out, err = run(capsys, "analyze", path)
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "bad exponent" in err
+
     def test_bad_max_power_exits_before_any_scan(self, capsys, monkeypatch, k3):
         import linres.betti as betti_mod
 

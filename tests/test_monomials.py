@@ -14,7 +14,6 @@ from linres.monomials import (
     ideal_from_json,
     ideal_from_strings,
     ideal_to_json,
-    minimal_generators,
     monomial_from_support,
     parse_monomial,
 )
@@ -61,23 +60,23 @@ class TestMonomial:
 
 class TestMinimalGenerators:
     def test_dedup(self):
-        ideal = minimal_generators(2, [m(1, 1), m(1, 1)])
+        ideal = MonomialIdeal(2, (m(1, 1), m(1, 1)))
         assert ideal.gens == (m(1, 1),)
 
     def test_divisibility_prunes(self):
-        ideal = minimal_generators(2, [m(1, 0), m(1, 1)])
+        ideal = MonomialIdeal(2, (m(1, 0), m(1, 1)))
         assert ideal.gens == (m(1, 0),)
 
     def test_terai_generators_already_minimal(self):
         assert terai_ideal().num_gens == 10
 
     def test_empty_input_is_zero_ideal(self):
-        ideal = minimal_generators(3, [])
+        ideal = MonomialIdeal(3, ())
         assert ideal.is_zero()
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(InputError):
-            minimal_generators(2, [m(1, 0, 0)])
+            MonomialIdeal(2, (m(1, 0, 0),))
 
     @given(
         st.lists(
@@ -87,8 +86,8 @@ class TestMinimalGenerators:
     )
     def test_idempotent_and_antichain(self, exps):
         monomials = [Monomial(e) for e in exps if sum(e) > 0]
-        ideal = minimal_generators(3, monomials)
-        again = minimal_generators(3, list(ideal.gens))
+        ideal = MonomialIdeal(3, tuple(monomials))
+        again = MonomialIdeal(3, ideal.gens)
         assert again == ideal
         for a in ideal.gens:
             for b in ideal.gens:
@@ -103,7 +102,7 @@ class TestMinimalGenerators:
     @settings(max_examples=150, deadline=None)
     def test_mixed_degrees_match_brute_force(self, exps):
         monomials = [Monomial(e) for e in exps if sum(e) > 0]
-        got = minimal_generators(4, monomials).gens
+        got = MonomialIdeal(4, tuple(monomials)).gens
         assert sorted(got, key=lambda g: g.exps) == sorted(
             brute_minimalize(monomials), key=lambda g: g.exps
         )
@@ -190,10 +189,10 @@ class TestPower:
         monomials = [Monomial(e) for e in exps if sum(e) > 0]
         if not monomials:
             return
-        ideal = minimal_generators(3, monomials)
+        ideal = MonomialIdeal(3, tuple(monomials))
         lhs = ideal.power(k1 + k2)
         products = [u * v for u in ideal.power(k1).gens for v in ideal.power(k2).gens]
-        assert lhs == minimal_generators(3, products)
+        assert lhs == MonomialIdeal(3, tuple(products))
 
 
 class TestSquarefreePartAndPolarize:
@@ -265,6 +264,26 @@ class TestParsingAndJson:
     def test_unknown_variable(self):
         with pytest.raises(InputError):
             parse_monomial("az", list("ab"))
+
+    @pytest.mark.parametrize("text, names", [
+        ("x1^*x2", ["x1", "x2"]),
+        ("x1^", ["x1", "x2"]),
+        ("x1^+2", ["x1", "x2"]),
+        ("x1^ 2", ["x1", "x2"]),
+        ("x1*x2^", ["x1", "x2"]),
+        ("x1^-1*x2", ["x1", "x2"]),
+        ("x1^\u00b2", ["x1", "x2"]),
+        ("a^b", list("ab")),
+        ("a^", list("ab")),
+        ("a^+2", list("ab")),
+    ])
+    def test_caret_needs_ascii_digits(self, text, names):
+        with pytest.raises(InputError, match="bad exponent"):
+            parse_monomial(text, names)
+
+    def test_zero_exponent(self):
+        with pytest.raises(InputError, match="exponent must be >= 1"):
+            parse_monomial("x1^0*x2", ["x1", "x2"])
 
     def test_format_round_trip(self):
         names = default_names(4)

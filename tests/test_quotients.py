@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from corpus import all_graphs, brute_minimalize, ideal_of, square_corpus, sturmfels_ideal
+import linres.quotients as quotients_mod
 from linres.betti import GF2, QQ, is_linear_resolution
 from linres.errors import BudgetExhausted, InputError, PreconditionError
 from linres.graphs import complement, dirac_labeling, graph_of_ideal, is_chordal
@@ -165,9 +166,10 @@ class TestFindOrder:
         assert order is not None
         assert condition_q(order)
 
-    def test_budget_exhaustion_is_loud(self):
-        with pytest.raises(BudgetExhausted):
-            find_lq_order(sturmfels_ideal(), budget=3)
+    def test_budget_exhaustion_is_loud(self, monkeypatch):
+        monkeypatch.setattr(quotients_mod, "LQ_SEARCH_BUDGET", 3)
+        with pytest.raises(BudgetExhausted, match=r"^order search exceeded 3 nodes on 8 generators$"):
+            find_lq_order(sturmfels_ideal())
 
     def test_single_generator(self):
         assert find_lq_order(ideal_of(2, (1, 2))) == (mono(2, 1, 2),)

@@ -26,7 +26,6 @@ from linres.rees import (
     realize_walk,
     buchberger,
     reduced_groebner,
-    toric_basis_by_elimination,
     toric_ideal_basis,
     walk_to_binomial,
     x_degree_check,
@@ -53,6 +52,32 @@ def dirac_relabeled(ideal):
     """The ideal in the labeling analyze gives it (complement chordal)."""
     g_simple = graph_of_ideal(ideal).simple()
     return ideal.relabel(dirac_labeling(g_simple, ideal.square_set()))
+
+
+def toric_basis_by_elimination(ideal):
+    """Reduced basis of the same ideal as toric_ideal_basis, through elimination.
+
+    Adjoins one z per cone-graph vertex, takes the relations
+    t_j - z^(column j), eliminates the z block with a lex order that
+    ranks it first, and restricts.  Exponential; test-scale only.
+    """
+    ring = ReesRing.from_ideal(ideal)
+    k = ring.n + 1
+    gens = []
+    for j, col in enumerate(ring.columns()):
+        lead = tuple(col) + tuple(0 for _ in range(ring.num_vars))
+        tail = tuple(0 for _ in range(k)) + tuple(
+            1 if i == j else 0 for i in range(ring.num_vars)
+        )
+        gens.append(Binomial(lead, tail))
+    ranking = tuple(range(k)) + tuple(k + r for r in ring.edge_lex().ranking)
+    order = TermOrder("elim-lex", ranking, graded=False)
+    out = []
+    for g in reduced_groebner(gens, order):
+        if any(g.lead[:k]) or any(g.tail[:k]):
+            continue
+        out.append(Binomial(g.lead[k:], g.tail[k:]))
+    return tuple(sorted(out, key=lambda g: ring.edge_lex().key(g.lead)))
 
 
 def unit(ring, name):
@@ -155,9 +180,10 @@ class TestToricBasis:
         for g in basis.elements:
             assert image(g.lead) == image(g.tail)
 
-    def test_budget_guard(self):
-        with pytest.raises(BudgetExhausted):
-            toric_ideal_basis(C4_IDEAL, budget_limit=5)
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(rees_mod, "GROEBNER_BUDGET", 5)
+        with pytest.raises(BudgetExhausted, match=r"^buchberger: exceeded 5 steps$"):
+            toric_ideal_basis(C4_IDEAL)
 
     def test_json_shape(self):
         blob = toric_ideal_basis(m_squared()).to_json()
@@ -198,14 +224,12 @@ class TestSaturationCount:
         (CO_C5, 2),
     ])
     def test_two_saturations_at_most(self, monkeypatch, ideal, saturations):
-        import linres.rees as rees_mod
-
         original = rees_mod._saturate_variable
         seen = []
 
-        def counting(gens, ring, v, budget_limit):
+        def counting(gens, ring, v):
             seen.append(v)
-            return original(gens, ring, v, budget_limit)
+            return original(gens, ring, v)
 
         monkeypatch.setattr(rees_mod, "_saturate_variable", counting)
         toric_ideal_basis(ideal)
@@ -220,7 +244,7 @@ class TestDegreeTwoSeed:
         gens = ring.lattice_basis()
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):
-            gens = rees_mod._saturate_variable(gens, ring, v, 500_000)
+            gens = rees_mod._saturate_variable(gens, ring, v)
         return reduced_groebner(gens, ring.edge_lex())
 
     @pytest.mark.parametrize("ideal", [
@@ -235,9 +259,10 @@ class TestDegreeTwoSeed:
     def test_same_basis_as_the_unseeded_route(self, ideal):
         assert toric_ideal_basis(ideal).elements == self.unseeded_basis(ideal)
 
-    def test_relabeled_co_p7_within_a_small_budget(self):
+    def test_relabeled_co_p7_within_a_small_budget(self, monkeypatch):
         # the unseeded route needs about 52,000 steps in one Buchberger run
-        basis = toric_ideal_basis(dirac_relabeled(co_path(7)), budget_limit=10_000)
+        monkeypatch.setattr(rees_mod, "GROEBNER_BUDGET", 10_000)
+        basis = toric_ideal_basis(dirac_relabeled(co_path(7)))
         assert len(basis.elements) == 60
 
     @pytest.mark.parametrize("ideal", [
@@ -461,7 +486,7 @@ class TestReducedGroebner:
         # and both orders see the same toric ideal
         ring = ReesRing.from_ideal(m_squared())
         lex = toric_ideal_basis(m_squared()).elements
-        grv = toric_ideal_basis(m_squared(), order=ring.grevlex_last(0)).elements
+        grv = reduced_groebner(lex, ring.grevlex_last(0))
         graver = graver_basis(ring)
         assert {orientation_free(g) for g in lex} <= graver
         assert {orientation_free(g) for g in grv} <= graver
