@@ -507,16 +507,20 @@ def powers_linear_report(
     fields=(QQ, GF2),
     max_power: int = 2,
     tables: dict[str, BettiTable] | None = None,
+    certify=None,
 ) -> list[dict]:
     """Per-power linearity records for I, I^2, ..., I^max_power.
 
     A record carries k, the number of minimal generators, one verdict per
     field and the seconds taken.  *tables*, when given, are the checked
-    tables of I itself, read for k = 1 instead of walking I again; every
-    other power is walked once for all the fields.  The multidegree cap
-    guards the Koszul scan; when it trips, that power's record carries the
-    abort and no verdicts, and the remaining powers are skipped (they can
-    only be larger).
+    tables of I itself, read for k = 1 instead of walking I again.
+    *certify*, when given, is called as certify(k, I^k) for every k >= 2
+    before any walk; when it returns True it has proved I^k linear over
+    every field, and the record says so with no walk.  Every other power
+    is walked once for all the fields.  The multidegree cap guards the
+    Koszul scan; when it trips, that power's record carries the abort and
+    no verdicts, and the remaining powers are skipped (they can only be
+    larger).
     """
     if ideal.is_zero():
         raise InputError("powers of the zero ideal are not informative")
@@ -531,9 +535,12 @@ def powers_linear_report(
         out.append(record)
         t0 = time.perf_counter()
         try:
-            checked = tables if k == 1 and tables else checked_tables(power, fields)
-            for f in fields:
-                record["linear"][f.label] = checked[f.label].is_linear
+            if k > 1 and certify is not None and certify(k, power):
+                record["linear"] = {f.label: True for f in fields}
+            else:
+                checked = tables if k == 1 and tables else checked_tables(power, fields)
+                for f in fields:
+                    record["linear"][f.label] = checked[f.label].is_linear
         except ResourceGuard as exc:
             record["aborted"] = str(exc)
             record["linear"] = None

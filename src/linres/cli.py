@@ -95,15 +95,17 @@ def _table_lines(label: str, table: dict) -> list[str]:
     return [f"  {label}: {cells}", f"  {label}: {tail}"]
 
 
-def _power_lines(records) -> list[str]:
+def _power_lines(records, routes=None) -> list[str]:
+    """One line per power record; *routes*, when given, name how each was decided."""
     out = []
-    for rec in records:
+    for rec, route in zip(records, routes or [None] * len(records)):
         if rec.get("aborted"):
             out.append(f"  k={rec['k']}: aborted ({rec['aborted']})")
             continue
         verdicts = ", ".join(f"{lab} {_yesno(v)}" for lab, v in rec["linear"].items())
+        via = f" (via {route})" if route else ""
         out.append(
-            f"  k={rec['k']}: {rec['num_gens']} generators, linear: {verdicts}"
+            f"  k={rec['k']}: {rec['num_gens']} generators, linear: {verdicts}{via}"
             f"  [{rec['seconds']}s]"
         )
     return out
@@ -157,7 +159,7 @@ def _analyze_lines(ideal: MonomialIdeal, report: dict, max_power: int) -> list[s
         lines.append(_verdicts_line("linear resolution", report["linear_resolution"], _yesno))
         lines.append(_quotients_line(report["linear_quotients"]))
         lines.append(f"powers up to k={max_power}:")
-        lines.extend(_power_lines(report["powers"]))
+        lines.extend(_power_lines(report["powers"], report["power_routes"]))
         return lines
 
     squares = report["squares"]
@@ -181,8 +183,12 @@ def _analyze_lines(ideal: MonomialIdeal, report: dict, max_power: int) -> list[s
     lines.append(_verdicts_line("linear resolution", report["linear_resolution"], _yesno))
     lines.append(_verdicts_line("regularity", report["regularity"]))
     lines.append(f"powers up to k={max_power}:")
-    lines.extend(_power_lines(report["powers"]))
+    lines.extend(_power_lines(report["powers"], report["power_routes"]))
     rees = report["rees"]
+    if "groebner" not in rees:
+        lines.append(f"Rees relations: {rees['status']} ({rees['reason']})")
+        lines.append("cross-checks: all consistent (Rees cross-checks skipped)")
+        return lines
     size = len(rees["groebner"]["elements"])
     xdeg = rees["x_degree"]
     if xdeg["ok"]:

@@ -533,3 +533,74 @@ def check_free_vertex_squares(ideal: MonomialIdeal) -> CheckResult:
         if containing[i][0] == containing[j][0]:
             return CheckResult(False, ("shared_facet", i, j, tuple(sorted(containing[i][0]))))
     return CheckResult(True)
+
+
+# ---------------------------------------------------------------------------
+# the colon bound for the square of an edge ideal
+# ---------------------------------------------------------------------------
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def square_colons(graph: Graph) -> list[tuple[tuple[int, int], Graph]]:
+    """The colon ideals I(G)^2 : x_a x_b of a simple graph G, one per edge
+    ab in ascending order, each as the graph of its generators (a loop at
+    u stands for x_u^2).
+
+    Closed form, read off neighbour bitsets: I(G)^2 : x_a x_b is
+    I(G) + (x_u x_v : u in N(a), v in N(b)), with u = v allowed
+    (Banerjee 2015, section 6, at s = 1).  Proof: the colon is generated
+    by q = ef / gcd(ef, x_a x_b) over pairs of edges e, f.  If x_a x_b
+    divides ef, then either ab is e or f and q is the other edge, or
+    e = au and f = bv and q = x_u x_v.  Otherwise q is divisible by e or
+    by f, so it lies in I(G).
+    """
+    if graph.has_loops:
+        raise InputError("the colon formula is for simple graphs")
+    adj = [0] * (graph.n + 1)
+    for i, j in graph.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    out = []
+    for a, b in graph.sorted_edges():
+        edges = set(graph.edges)
+        for u in _bits(adj[a]):
+            for v in _bits(adj[b] & ~(1 << u)):
+                edges.add((min(u, v), max(u, v)))
+        loops = frozenset(_bits(adj[a] & adj[b]))
+        out.append(((a, b), Graph(graph.n, frozenset(edges), loops)))
+    return out
+
+
+def square_colons_linear(graph: Graph) -> bool:
+    """Does every colon I(G)^2 : x_a x_b (see square_colons) have a linear
+    resolution, over every field?
+
+    Each colon is generated by quadrics.  Polarization (a loop at u
+    becomes an edge from u to a fresh vertex) keeps the graded Betti
+    numbers, and the edge ideal of a graph is linear over every field
+    exactly when its complement is chordal (Froberg 1990).
+
+    The colon bound (A. Banerjee, "The regularity of powers of edge
+    ideals", J. Algebraic Combin. 41, 2015, Thm 5.2) at s = 1 reads
+    reg(I^2) <= max(reg(I^2 : e) + 2 over the edges e, reg(I)).  Its proof
+    there: list the edges e_1, ..., e_r; for each l the sequence
+    0 -> S/(J_l : e_l)(-2) -> S/J_l -> S/(J_l + (e_l)) -> 0 with
+    J_l = I^2 + (e_1, ..., e_{l-1}) is exact, J_l : e_l is I^2 : e_l plus
+    the variables e_j / gcd(e_j, e_l) of the earlier edges that meet e_l
+    (an edge disjoint from e_l already lies in I), adding variables to a
+    monomial ideal does not raise its regularity, and J_{r+1} = I.  So
+    when this returns True and reg(I) <= 4 over a field, reg(I^2) = 4
+    there and I^2, generated in degree 4, has a linear resolution.
+    """
+    n = graph.n
+    for _, colon in square_colons(graph):
+        pendant = {(u, n + j) for j, u in enumerate(sorted(colon.loops), start=1)}
+        polarized = Graph(n + len(pendant), colon.edges | pendant)
+        if not is_chordal(complement(polarized)).is_chordal:
+            return False
+    return True

@@ -344,7 +344,7 @@ def ideal_from_json(obj) -> tuple[MonomialIdeal, list[str]]:
             or len(set(variables)) != len(variables)):
         raise InputError('"variables" must be a non-empty list of distinct names')
     gens_field = obj["generators"]
-    if not isinstance(gens_field, list):
+    if not isinstance(gens_field, list) or any(not isinstance(s, str) for s in gens_field):
         raise InputError('"generators" must be a list of monomial strings')
     gens = [parse_monomial(s, variables) for s in gens_field]
     return MonomialIdeal(len(variables), tuple(gens)), list(variables)

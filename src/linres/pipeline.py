@@ -4,15 +4,24 @@ cross-checked.
 ``analyze`` builds the report that ``linres analyze --json`` prints.  A
 quadratic ideal goes through chordality of the complement graph, the
 relabeling and the two generator conditions, a linear-quotients order, the
-Betti tables, the powers, and the Rees relations with the x-degree
-certificate; whenever theory ties two of these answers together they are
+Betti tables, the Rees relations with the x-degree certificate, and then
+the powers; whenever theory ties two of these answers together they are
 compared, and a split raises Falsification.  Other ideals get the stages
 that need no graph: Betti tables, a searched order and the powers.
 
 Each ideal is walked once for all the fields: the Betti stage's checked
-tables give both the linearity verdicts and the k = 1 power record.  The other
-modules are called through their module attributes, so wrappers installed
-on them (profilers, test doubles) see every call.
+tables give both the linearity verdicts and the k = 1 power record.  Each
+power k >= 2 of a quadratic ideal is certified before it is walked: by the
+x-condition order (rees.x_condition_order) when the x-degree certificate
+holds, else at k = 2 by the colon bound for an edge ideal
+(graphs.square_colons_linear).  Only a power that no certificate decides
+gets a Koszul walk.  ``report["power_routes"]`` names the route of each
+record of ``report["powers"]``: ``koszul``, ``x_condition`` or
+``colon_bound``.  A Rees stage that runs out of budget reports
+``{"status": "unknown", "reason": ...}``; its cross-checks are skipped and
+the run goes on.  The other modules are called through their module
+attributes, so wrappers installed on them (profilers, test doubles) see
+every call.
 """
 
 from __future__ import annotations
@@ -20,7 +29,13 @@ from __future__ import annotations
 import time
 
 from . import betti, graphs, monomials, quotients, rees
-from .errors import BudgetExhausted, Falsification, InputError, PreconditionError
+from .errors import (
+    BudgetExhausted,
+    Falsification,
+    InputError,
+    PreconditionError,
+    ResourceGuard,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +83,22 @@ def rees_relations(ideal: monomials.MonomialIdeal) -> tuple[rees.ToricBasis, dic
 # stages
 # ---------------------------------------------------------------------------
 
+def _in_input_coordinates(order, labeling) -> list[monomials.Monomial]:
+    """Monomials of the relabeled ring back in the input variables: input
+    variable i is relabeled variable labeling[i - 1]."""
+    if not labeling:
+        return list(order)
+    return [monomials.Monomial(tuple(m.exps[v - 1] for v in labeling)) for m in order]
+
+
 def _constructed_order(ideal, relabeled, labeling, names) -> dict:
     """The order the conditions license, built on the relabeled ideal and
     re-validated against the colon ideals in the input variables."""
     order = quotients.construct_lq_order(relabeled)
-    shown = list(order)
+    shown = _in_input_coordinates(order, labeling)
     iso = quotients.isolated_squares(relabeled)
     if labeling:
-        n = ideal.n
-        shown = [monomials.Monomial(tuple(m.exps[labeling[i] - 1] for i in range(n)))
-                 for m in order]
-        inverse = {labeling[v - 1]: v for v in range(1, n + 1)}
+        inverse = {labeling[v - 1]: v for v in range(1, ideal.n + 1)}
         iso = tuple(sorted(inverse[i] for i in iso))
     recheck = quotients.has_linear_quotients(shown)
     if not recheck.ok:
@@ -103,6 +123,25 @@ def _searched_order(ideal, names) -> dict:
         return {"ok": False, "via": "search"}
     return {"ok": True, "via": "search",
             "order": [monomials.format_monomial(m, names) for m in found]}
+
+
+def _check_x_condition_order(basis, labeling, power, k) -> None:
+    """The x-condition order of I^k (rees.x_condition_order), back in the
+    input variables, must list the minimal generators of *power* once each
+    and have linear quotients; then I^k is linear over every field.  The
+    x-degree certificate promises both, so a failure is a Falsification."""
+    order = _in_input_coordinates(rees.x_condition_order(basis, k), labeling)
+    if len(order) != power.num_gens or set(order) != set(power.gens):
+        raise Falsification(
+            f"x-degree certificate holds but the x-condition order of power k={k} "
+            f"lists {len(order)} products for its {power.num_gens} minimal generators"
+        )
+    verdict = quotients.has_linear_quotients(order)
+    if not verdict.ok:
+        raise Falsification(
+            f"x-degree certificate holds but the x-condition order of power k={k} "
+            f"fails linear quotients, witness {verdict.witness}"
+        )
 
 
 def _check_quotients_vs_betti(lq: dict, linear: dict[str, bool]) -> None:
@@ -148,6 +187,7 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
     report["linear_quotients"] = lq
     _check_quotients_vs_betti(lq, linear)
     report["powers"] = betti.powers_linear_report(ideal, fields, max_power, tables=tables)
+    report["power_routes"] = ["koszul"] * len(report["powers"])
     return report
 
 
@@ -232,11 +272,52 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
         )
     _check_quotients_vs_betti(lq, linear)
 
-    # stage 5: powers
+    # stage 5: Rees relations and the x-degree certificate, in the relabeled
+    # coordinates when a labeling exists; a budget overrun leaves this stage
+    # unknown and the powers to the other routes
     t0 = time.perf_counter()
-    records = betti.powers_linear_report(ideal, fields, max_power, tables=tables)
+    try:
+        basis, rees_json = rees_relations(relabeled)
+    except (BudgetExhausted, ResourceGuard) as exc:
+        basis, rees_report = None, {"status": "unknown", "reason": str(exc)}
+    else:
+        rees_report = {"coordinates": "relabeled" if relabeled is not ideal else "input",
+                       **rees_json}
+    timings["rees"] = round(time.perf_counter() - t0, 3)
+    xdeg_ok = basis is not None and rees_json["x_degree"]["ok"]
+    if basis is not None and star.ok and star2.ok and not xdeg_ok:
+        raise Falsification(
+            "(*) and (**) hold but the reduced basis has a lead of x-degree > 1"
+        )
+    if xdeg_ok and not all(linear.values()):
+        raise Falsification(
+            "x-degree certificate holds but the ideal itself is not linear"
+        )
+
+    # stage 6: powers, each certified before any walk: by the x-condition
+    # order when the x-degree certificate holds (so every power is linear or
+    # a Falsification is raised), else at k = 2 by the colon bound for an
+    # edge ideal whose regularity is at most 4 over every field
+    colon_premise = ideal.is_squarefree() and all(t.regularity <= 4 for t in tables.values())
+    routes = ["koszul"]  # k = 1 is read from the Betti stage's tables
+
+    def certify(k, power) -> bool:
+        if xdeg_ok:
+            _check_x_condition_order(basis, labeling, power, k)
+            routes.append("x_condition")
+        elif k == 2 and colon_premise and graphs.square_colons_linear(g_simple):
+            routes.append("colon_bound")
+        else:
+            routes.append("koszul")
+        return routes[-1] != "koszul"
+
+    t0 = time.perf_counter()
+    records = betti.powers_linear_report(ideal, fields, max_power, tables=tables,
+                                         certify=certify)
     timings["powers"] = round(time.perf_counter() - t0, 3)
     report["powers"] = records
+    report["power_routes"] = routes
+    report["rees"] = rees_report  # after the powers, where the report has always had it
     for rec in records:
         if not rec["linear"]:
             continue
@@ -245,31 +326,6 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
                 raise Falsification(
                     f"linear ideal with a non-linear power k={rec['k']} over {lab}"
                 )
-
-    # stage 6: Rees relations and the x-degree certificate, in the relabeled
-    # coordinates when a labeling exists
-    t0 = time.perf_counter()
-    _, rees_json = rees_relations(relabeled)
-    timings["rees"] = round(time.perf_counter() - t0, 3)
-    report["rees"] = {
-        "coordinates": "relabeled" if relabeled is not ideal else "input",
-        **rees_json,
-    }
-    xdeg_ok = rees_json["x_degree"]["ok"]
-    if star.ok and star2.ok and not xdeg_ok:
-        raise Falsification(
-            "(*) and (**) hold but the reduced basis has a lead of x-degree > 1"
-        )
-    if xdeg_ok:
-        for rec in records:
-            if rec["linear"] and not all(rec["linear"].values()):
-                raise Falsification(
-                    f"x-degree certificate holds but power k={rec['k']} is not linear"
-                )
-        if not all(linear.values()):
-            raise Falsification(
-                "x-degree certificate holds but the ideal itself is not linear"
-            )
 
     report["timings"] = timings
     report["falsifications"] = 0

@@ -603,6 +603,57 @@ def x_degree_check(basis: ToricBasis) -> XDegreeReport:
     return XDegreeReport(worst <= 1, worst, witness)
 
 
+def x_condition_order(basis: ToricBasis, k: int) -> tuple[Monomial, ...]:
+    """The generators of I^k in the order the x-condition licenses
+    (Herzog, Hibi and Zheng 2004, section 1), in the ring's coordinates.
+
+    P is homogeneous in the x-degree (the row n+1 of the monomial map
+    counts it), so both sides of a basis element have the same x-degree,
+    and the elements of x-degree 0 form a Groebner basis of P meet K[y],
+    the ideal of the fiber ring K[I].  Hence the degree-k y-monomials
+    that no pure-y lead divides are a K-basis of K[I]_k, and their
+    images, the products of k generators, are the distinct products: for
+    an ideal generated in one degree, exactly the minimal generators of
+    I^k, each once.  They are listed ascending in the basis order and
+    mapped to their products.  When every lead has x-degree at most one,
+    the proof in HHZ shows that this order has linear quotients; the
+    caller checks both facts (``x_degree_check`` for the premise).
+
+    A standard monomial m y_v whose largest y-variable is y_v has the
+    standard divisor m, so a lead dividing m y_v but not m holds y_v to
+    its full power and no larger variable: the walk extends each
+    standard monomial by variables from its largest one up and tests
+    only the leads whose largest variable is the one added.
+    """
+    if k < 1:
+        raise InputError(f"power must be a positive integer, got {k}")
+    ring = basis.ring
+    n, size = ring.n, ring.num_vars
+    by_last: dict[int, list[tuple[int, ...]]] = {}
+    for g in basis.elements:
+        if not any(g.lead[:n]):
+            last = max(v for v, e in enumerate(g.lead) if e)
+            by_last.setdefault(last, []).append(g.lead)
+    # (exponents, largest y-variable) of the standard monomials of each degree
+    level = [((0,) * size, n)]
+    for _ in range(k):
+        longer = []
+        for exps, top in level:
+            for v in range(top, size):
+                ext = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
+                if not any(_divides(lead, ext) for lead in by_last.get(v, ())):
+                    longer.append((ext, v))
+        level = longer
+    out = []
+    for exps, _ in sorted(level, key=lambda m: basis.order.key(m[0])):
+        product = [0] * n
+        for (a, b), e in zip(ring.edges, exps[n:]):
+            product[a - 1] += e
+            product[b - 1] += e
+        out.append(Monomial(tuple(product)))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # primitive even closed walks (Graver basis of the cone graph)
 # ---------------------------------------------------------------------------

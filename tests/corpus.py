@@ -97,6 +97,11 @@ def brute_minimalize(monomials):
     ]
 
 
+def brute_colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """I : m from its definition: generated by g / gcd(g, m) over the generators g."""
+    return MonomialIdeal(ideal.n, tuple(brute_minimalize(g / g.gcd(m) for g in ideal.gens)))
+
+
 def brute_chordless_cycle_exists(graph: Graph) -> bool:
     """Does some vertex subset of size >= 4 induce a cycle?  O(2^n) oracle."""
     verts = range(1, graph.n + 1)

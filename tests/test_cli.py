@@ -4,11 +4,17 @@ Most tests call main() in-process for speed; one subprocess test makes
 sure the installed entry point actually resolves.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linres.rees as rees_mod
 from linres.cli import main
@@ -53,6 +59,12 @@ def disjoint(tmp_path):
 def msq(tmp_path):
     return write_ideal(tmp_path, "msq.json", ["x1", "x2"],
                        ["x1^2", "x1*x2", "x2^2"])
+
+
+@pytest.fixture
+def co_c6(tmp_path):
+    gens = [f"x{a}*x{b}" for a in range(1, 7) for b in range(a + 2, 7) if b - a < 5]
+    return write_ideal(tmp_path, "co_c6.json", [f"x{i}" for i in range(1, 7)], gens)
 
 
 @pytest.fixture
@@ -138,11 +150,46 @@ class TestAnalyze:
         assert rc == 0
         assert set(report["linear_resolution"]) == {"Q", "GF(3)"}
 
+    @pytest.mark.parametrize("fixture, routes", [
+        ("k3", ["koszul", "x_condition", "x_condition"]),
+        ("co_c6", ["koszul", "colon_bound", "koszul"]),
+        ("disjoint", ["koszul", "koszul", "koszul"]),
+        ("sturmfels", ["koszul", "koszul", "koszul"]),
+    ])
+    def test_power_routes(self, capsys, request, fixture, routes):
+        path = request.getfixturevalue(fixture)
+        rc, report = run_json(capsys, "analyze", path, "--max-power", "3")
+        assert rc == 0
+        assert report["power_routes"] == routes
+        # a certified record keeps the keys of a walked one
+        assert all(list(r) == ["k", "num_gens", "linear", "seconds"] for r in report["powers"])
+        rc, out, err = run(capsys, "analyze", path, "--max-power", "3")
+        assert rc == 0 and err == ""
+        assert [line.split("(via ")[1].split(")")[0] for line in out.splitlines()
+                if line.startswith("  k=")] == routes
+
+    def test_rees_budget_costs_one_stage(self, capsys, monkeypatch, msq):
+        monkeypatch.setattr(rees_mod, "GROEBNER_BUDGET", 5)
+        rc, report = run_json(capsys, "analyze", msq)
+        assert rc == 0
+        assert report["rees"] == {"status": "unknown",
+                                  "reason": "buchberger: exceeded 5 steps"}
+        assert report["power_routes"] == ["koszul", "koszul"]
+        assert report["linear_resolution"] == {"Q": True, "GF(2)": True}
+        assert all(all(r["linear"].values()) for r in report["powers"])
+        assert {"complement_chordal", "conditions", "linear_quotients", "betti",
+                "timings"} <= set(report)
+        assert report["falsifications"] == 0
+        rc, out, err = run(capsys, "analyze", msq)
+        assert rc == 0 and err == ""
+        assert "Rees relations: unknown (buchberger: exceeded 5 steps)" in out
+
 
 class TestScanCount:
     @pytest.mark.parametrize("fixture, walks", [
-        ("k3", 2),   # I and I^2
-        ("msq", 3),  # I, its polarization, and I^2
+        ("k3", 1),     # I; I^2 by the x-condition order
+        ("msq", 2),    # I and its polarization; I^2 by the x-condition order
+        ("co_c6", 1),  # I; I^2 by the colon bound
     ])
     def test_each_ideal_walked_once_for_every_field(self, capsys, monkeypatch, request,
                                                    fixture, walks):
@@ -367,6 +414,60 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "koszul_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3 and "falsification:" in err
+
+
+NAMES = ["a", "b", "c", "x1", "x2"]
+
+
+@st.composite
+def ideal_files(draw):
+    """Small ideal files: well formed, or spoiled in one place (a generator,
+    the variables, a missing key, JSON of another shape, or plain text)."""
+    variables = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=4, unique=True))
+    exponent_vector = st.lists(st.integers(0, 3), min_size=len(variables),
+                               max_size=len(variables))
+    generators = [
+        "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, exps) if e) or "1"
+        for exps in draw(st.lists(exponent_vector, max_size=5))
+    ]
+    obj = {"variables": variables, "generators": generators}
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                    max_size=3),
+        max_leaves=6,
+    )
+    spoil = draw(st.sampled_from(["none", "generator", "variables", "key", "json", "text"]))
+    if spoil == "text":
+        return draw(st.text(max_size=30))
+    if spoil == "generator":
+        obj["generators"] = generators + [draw(st.text(alphabet="abcx12^* ", max_size=8)
+                                               | junk)]
+    elif spoil == "variables":
+        obj["variables"] = draw(junk)
+    elif spoil == "key":
+        del obj[draw(st.sampled_from(["variables", "generators"]))]
+    elif spoil == "json":
+        obj = draw(junk)
+    return json.dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_files())
+def test_analyze_fuzz_keeps_the_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ideal.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["analyze", str(path), "--json"])
+    assert rc in (0, 2, 3)
+    if rc != 3:
+        assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert json.loads(out.getvalue())["command"] == "analyze"
+    else:
+        assert out.getvalue() == ""
 
 
 def test_console_script_installed(tmp_path):

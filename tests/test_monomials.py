@@ -297,6 +297,11 @@ class TestParsingAndJson:
         assert back == ideal
         assert names == default_names(3)
 
+    @pytest.mark.parametrize("generators", [[1], [None], [["a"]], ["a", {"b": 1}], "ab"])
+    def test_generators_must_be_strings(self, generators):
+        with pytest.raises(InputError, match="must be a list of monomial strings"):
+            ideal_from_json({"variables": ["a", "b"], "generators": generators})
+
     def test_from_strings(self):
         got = ideal_from_strings(["ab", "b^2"], list("ab"))
         assert got == ideal_of(2, (1, 2), (2, 2))
