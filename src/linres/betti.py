@@ -517,10 +517,11 @@ def powers_linear_report(
     *certify*, when given, is called as certify(k, I^k) for every k >= 2
     before any walk; when it returns True it has proved I^k linear over
     every field, and the record says so with no walk.  Every other power
-    is walked once for all the fields.  The multidegree cap guards the
-    Koszul scan; when it trips, that power's record carries the abort and
-    no verdicts, and the remaining powers are skipped (they can only be
-    larger).
+    is walked once for all the fields.  The product cap of MonomialIdeal.power
+    guards building I^k (its seconds count too), and the multidegree cap the
+    Koszul scan; when either trips, that power's record carries the abort and
+    no verdicts (num_gens None if I^k was never built), and the remaining
+    powers are skipped (they can only be larger).
     """
     if ideal.is_zero():
         raise InputError("powers of the zero ideal are not informative")
@@ -530,11 +531,12 @@ def powers_linear_report(
         raise InputError("linearity needs all generators in one degree")
     out = []
     for k in range(1, max_power + 1):
-        power = ideal if k == 1 else ideal.power(k)
-        record: dict = {"k": k, "num_gens": power.num_gens, "linear": {}}
+        record: dict = {"k": k, "num_gens": None, "linear": {}}
         out.append(record)
         t0 = time.perf_counter()
         try:
+            power = ideal if k == 1 else ideal.power(k)
+            record["num_gens"] = power.num_gens
             if k > 1 and certify is not None and certify(k, power):
                 record["linear"] = {f.label: True for f in fields}
             else:

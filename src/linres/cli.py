@@ -32,9 +32,9 @@ from .graphs import (
     graph_to_json,
     is_chordal,
 )
-from .monomials import MonomialIdeal, format_monomial, ideal_from_json, ideal_to_json
+from .monomials import MonomialIdeal, ideal_from_json, ideal_to_json
 from .pipeline import check_json, chordality_json
-from .quotients import construct_lq_order, find_lq_order, has_linear_quotients, isolated_squares
+from .quotients import isolated_squares
 from .rees import (
     enumerate_primitive_even_walks,
     format_binomial,
@@ -298,34 +298,13 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
         lines.append(_condition_line("**", report["star_star"]))
         constructible = star.ok and star2.ok
 
-    if constructible:
-        order = construct_lq_order(ideal)
-        via = "construction"
-    else:
-        try:
-            order = find_lq_order(ideal)
-        except BudgetExhausted as exc:
-            report["linear_quotients"] = {"ok": "unknown", "reason": str(exc)}
-            return report, lines + [_quotients_line(report["linear_quotients"])]
-        via = "search"
-
-    if order is None:
-        report["linear_quotients"] = {"ok": False, "via": via}
-        return report, lines + [_quotients_line(report["linear_quotients"])]
-    verdict = has_linear_quotients(order)
-    if not verdict.ok:
-        raise Falsification(
-            f"order from {via} fails the colon-ideal check, witness {verdict.witness}"
-        )
-    report["linear_quotients"] = {
-        "ok": True,
-        "via": via,
-        "order": [format_monomial(m, names) for m in order],
-        "verified": True,
-    }
-    if ideal.degree == 2 and report.get("isolated_squares"):
-        report["linear_quotients"]["isolated_squares_at_bottom"] = report["isolated_squares"]
-    return report, lines + [_quotients_line(report["linear_quotients"])]
+    lq = pipeline.order_stage(ideal, ideal, None, names, constructible)
+    if lq["ok"] is True:
+        lq["verified"] = True
+        if report.get("isolated_squares"):
+            lq["isolated_squares_at_bottom"] = report["isolated_squares"]
+    report["linear_quotients"] = lq
+    return report, lines + [_quotients_line(lq)]
 
 
 def cmd_walks(args) -> tuple[dict, list[str]]:

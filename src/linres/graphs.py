@@ -27,7 +27,8 @@ from .monomials import Monomial, MonomialIdeal, monomial_from_support
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite graph on vertices 1..n; loops only when allow_loops is set."""
+    """Finite graph on vertices 1..n; a loop at v (the square x_v^2) is
+    passed in *loops*, never in *edges*."""
 
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, ResourceGuard
+
+
+# the most k-fold products of generators one MonomialIdeal.power may form
+POWER_PRODUCT_CAP = 1_000_000
 
 
 @dataclass(frozen=True, order=False)
@@ -146,11 +151,18 @@ class MonomialIdeal:
         return any(g.divides(m) for g in self.gens)
 
     def power(self, k: int) -> "MonomialIdeal":
-        """I^k via all k-fold products of generators, then minimalization."""
+        """I^k via all k-fold products of generators, then minimalization;
+        ResourceGuard, before any product is formed, when the C(m + k - 1, k)
+        products of the m generators exceed POWER_PRODUCT_CAP."""
         if k < 1:
             raise InputError(f"power must be a positive integer, got {k}")
         if self.is_zero():
             return self
+        products = math.comb(self.num_gens + k - 1, k)
+        if products > POWER_PRODUCT_CAP:
+            raise ResourceGuard(
+                f"{products} products of generators exceed the cap {POWER_PRODUCT_CAP}"
+            )
         prods = set()
         for combo in itertools.combinations_with_replacement(self.gens, k):
             exps = [0] * self.n

@@ -9,6 +9,10 @@ the powers; whenever theory ties two of these answers together they are
 compared, and a split raises Falsification.  Other ideals get the stages
 that need no graph: Betti tables, a searched order and the powers.
 
+Every order in a report (constructed, searched or built from the
+x-condition), and every order ``linres quotients`` prints, passes
+``checked_order``.
+
 Each ideal is walked once for all the fields: the Betti stage's checked
 tables give both the linearity verdicts and the k = 1 power record.  Each
 power k >= 2 of a quadratic ideal is certified before it is walked: by the
@@ -17,11 +21,12 @@ holds, else at k = 2 by the colon bound for an edge ideal
 (graphs.square_colons_linear).  Only a power that no certificate decides
 gets a Koszul walk.  ``report["power_routes"]`` names the route of each
 record of ``report["powers"]``: ``koszul``, ``x_condition`` or
-``colon_bound``.  A Rees stage that runs out of budget reports
-``{"status": "unknown", "reason": ...}``; its cross-checks are skipped and
-the run goes on.  The other modules are called through their module
-attributes, so wrappers installed on them (profilers, test doubles) see
-every call.
+``colon_bound``, or None for a power with more products of generators
+than MonomialIdeal.power may form, which is never built.  A Rees stage
+that runs out of budget reports ``{"status": "unknown", "reason": ...}``;
+its cross-checks are skipped and the run goes on.  The other modules are
+called through their module attributes, so wrappers installed on them
+(profilers, test doubles) see every call.
 """
 
 from __future__ import annotations
@@ -91,57 +96,48 @@ def _in_input_coordinates(order, labeling) -> list[monomials.Monomial]:
     return [monomials.Monomial(tuple(m.exps[v - 1] for v in labeling)) for m in order]
 
 
-def _constructed_order(ideal, relabeled, labeling, names) -> dict:
-    """The order the conditions license, built on the relabeled ideal and
-    re-validated against the colon ideals in the input variables."""
-    order = quotients.construct_lq_order(relabeled)
+def checked_order(order, labeling, power, what) -> list[monomials.Monomial]:
+    """*order*, in the variables of *labeling* (None: the input variables),
+    back in the input variables.  It must list the minimal generators of
+    *power* once each and have linear quotients, as every route to an order
+    promises; a failure is a Falsification naming the order by *what*.
+    Linear quotients ignore a permutation of the variables, so only the
+    generator check catches a wrong mapping back."""
     shown = _in_input_coordinates(order, labeling)
-    iso = quotients.isolated_squares(relabeled)
-    if labeling:
-        inverse = {labeling[v - 1]: v for v in range(1, ideal.n + 1)}
-        iso = tuple(sorted(inverse[i] for i in iso))
-    recheck = quotients.has_linear_quotients(shown)
-    if not recheck.ok:
+    listed = set(shown)
+    missing = [str(g) for g in power.gens if g not in listed]
+    if len(shown) != power.num_gens or missing:
         raise Falsification(
-            "constructed order fails the colon-ideal check after relabeling "
-            f"back, witness {recheck.witness}"
+            f"{what} lists {len(shown)} products for its {power.num_gens} minimal generators"
+            + (f", without {missing[0]}" if missing else "")
         )
-    return {
-        "ok": True,
-        "via": "construction",
-        "order": [monomials.format_monomial(m, names) for m in shown],
-        "isolated_squares": list(iso),
-    }
-
-
-def _searched_order(ideal, names) -> dict:
-    try:
-        found = quotients.find_lq_order(ideal)
-    except BudgetExhausted as exc:
-        return {"ok": "unknown", "via": "search", "reason": str(exc)}
-    if found is None:
-        return {"ok": False, "via": "search"}
-    return {"ok": True, "via": "search",
-            "order": [monomials.format_monomial(m, names) for m in found]}
-
-
-def _check_x_condition_order(basis, labeling, power, k) -> None:
-    """The x-condition order of I^k (rees.x_condition_order), back in the
-    input variables, must list the minimal generators of *power* once each
-    and have linear quotients; then I^k is linear over every field.  The
-    x-degree certificate promises both, so a failure is a Falsification."""
-    order = _in_input_coordinates(rees.x_condition_order(basis, k), labeling)
-    if len(order) != power.num_gens or set(order) != set(power.gens):
-        raise Falsification(
-            f"x-degree certificate holds but the x-condition order of power k={k} "
-            f"lists {len(order)} products for its {power.num_gens} minimal generators"
-        )
-    verdict = quotients.has_linear_quotients(order)
+    verdict = quotients.has_linear_quotients(shown)
     if not verdict.ok:
-        raise Falsification(
-            f"x-degree certificate holds but the x-condition order of power k={k} "
-            f"fails linear quotients, witness {verdict.witness}"
-        )
+        raise Falsification(f"{what} fails linear quotients, witness {verdict.witness}")
+    return shown
+
+
+def order_stage(ideal, relabeled, labeling, names, constructible) -> dict:
+    """A linear-quotients order of *ideal* as report JSON.  When (*) and
+    (**) hold (*constructible*) the order is built on *relabeled*, the
+    ideal under *labeling*; otherwise the generators of *ideal* are
+    searched.  Either order passes checked_order before it is shown.  A
+    search that runs out of budget gives {"ok": "unknown", "via":
+    "search", "reason": ...}."""
+    via = "construction" if constructible else "search"
+    if constructible:
+        order = quotients.construct_lq_order(relabeled)
+    else:
+        labeling = None  # the search runs on the input generators
+        try:
+            order = quotients.find_lq_order(ideal)
+        except BudgetExhausted as exc:
+            return {"ok": "unknown", "via": via, "reason": str(exc)}
+    if order is None:
+        return {"ok": False, "via": via}
+    shown = checked_order(order, labeling, ideal, f"order from {via}")
+    return {"ok": True, "via": via,
+            "order": [monomials.format_monomial(m, names) for m in shown]}
 
 
 def _check_quotients_vs_betti(lq: dict, linear: dict[str, bool]) -> None:
@@ -181,13 +177,13 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
         return report
     linear = {lab: t.is_linear for lab, t in tables.items()}
     report["linear_resolution"] = linear
-    lq = _searched_order(ideal, names)
-    if lq["ok"] == "unknown":
-        del lq["via"]  # the non-quadratic report names no route for an unknown
+    lq = order_stage(ideal, ideal, None, names, False)
     report["linear_quotients"] = lq
     _check_quotients_vs_betti(lq, linear)
     report["powers"] = betti.powers_linear_report(ideal, fields, max_power, tables=tables)
-    report["power_routes"] = ["koszul"] * len(report["powers"])
+    # no route ran on a power too large to build (see MonomialIdeal.power)
+    report["power_routes"] = ["koszul" if r["num_gens"] is not None else None
+                              for r in report["powers"]]
     return report
 
 
@@ -225,10 +221,12 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     # stage 3: a linear-quotients order, by construction when the conditions
     # license it and by exhaustive search otherwise
     t0 = time.perf_counter()
-    if star.ok and star2.ok:
-        lq = _constructed_order(ideal, relabeled, labeling, names)
-    else:
-        lq = _searched_order(ideal, names)
+    lq = order_stage(ideal, relabeled, labeling, names, star.ok and star2.ok)
+    if lq["via"] == "construction":
+        # the squares the construction leaves at the bottom, as input variables
+        iso = quotients.isolated_squares(relabeled)
+        lq["isolated_squares"] = [v for v in range(1, ideal.n + 1)
+                                  if (labeling[v - 1] if labeling else v) in iso]
     timings["quotients"] = round(time.perf_counter() - t0, 3)
     report["linear_quotients"] = lq
 
@@ -303,7 +301,8 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
 
     def certify(k, power) -> bool:
         if xdeg_ok:
-            _check_x_condition_order(basis, labeling, power, k)
+            checked_order(rees.x_condition_order(basis, k), labeling, power,
+                          f"x-degree certificate holds but the x-condition order of power k={k}")
             routes.append("x_condition")
         elif k == 2 and colon_premise and graphs.square_colons_linear(g_simple):
             routes.append("colon_bound")
@@ -316,7 +315,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
                                          certify=certify)
     timings["powers"] = round(time.perf_counter() - t0, 3)
     report["powers"] = records
-    report["power_routes"] = routes
+    report["power_routes"] = routes + [None] * (len(records) - len(routes))
     report["rees"] = rees_report  # after the powers, where the report has always had it
     for rec in records:
         if not rec["linear"]:

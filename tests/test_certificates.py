@@ -30,7 +30,7 @@ from linres.graphs import (
     square_colons,
     square_colons_linear,
 )
-from linres.monomials import monomial_from_support
+from linres.monomials import Monomial, monomial_from_support
 from linres.quotients import has_linear_quotients
 from linres.rees import toric_ideal_basis, x_condition_order, x_degree_check
 
@@ -145,6 +145,27 @@ class TestWrongOrderInAnalyze:
         # complement of the path 1-2-3-4
         with pytest.raises(Falsification, match="fails linear quotients"):
             pipeline.analyze(ideal_of(4, (1, 3), (1, 4), (2, 4)))
+
+    def test_labeling_applied_forward_is_a_falsification(self, monkeypatch):
+        # the complement of P6 relabels by (6, 5, 4, 3, 1, 2), not an
+        # involution, so the forward map sends the order to other monomials;
+        # they still have linear quotients, so only the generator check can
+        # catch it
+        def forward(order, labeling):
+            out = []
+            for m in order:
+                exps = [0] * m.n
+                for i, e in enumerate(m.exps):
+                    exps[labeling[i] - 1] = e
+                out.append(Monomial(tuple(exps)))
+            return out
+
+        co_p6 = ideal_of(6, *((a, b) for a in range(1, 7) for b in range(a + 2, 7)))
+        assert pipeline.analyze(co_p6, max_power=1)["labeling"] == [6, 5, 4, 3, 1, 2]
+        monkeypatch.setattr(pipeline, "_in_input_coordinates", forward)
+        with pytest.raises(Falsification, match="order from construction lists 10 products "
+                                                "for its 10 minimal generators, without"):
+            pipeline.analyze(co_p6, max_power=1)
 
     def test_missing_generator_is_a_falsification(self, monkeypatch):
         right = rees_mod.x_condition_order

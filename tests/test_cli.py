@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linres.monomials as monomials_mod
+import linres.quotients as quotients_mod
 import linres.rees as rees_mod
 from linres.cli import main
 from linres.errors import Falsification
@@ -168,6 +170,27 @@ class TestAnalyze:
         assert [line.split("(via ")[1].split(")")[0] for line in out.splitlines()
                 if line.startswith("  k=")] == routes
 
+    def test_power_product_cap_costs_the_larger_powers(self, capsys, monkeypatch, k3):
+        # I^k of the triangle has C(k + 2, 2) products: 6, 10, 15, ...
+        monkeypatch.setattr(monomials_mod, "POWER_PRODUCT_CAP", 12)
+        rc, report = run_json(capsys, "analyze", k3, "--max-power", "12")
+        assert rc == 0
+        assert report["powers"][-1] == {
+            "k": 4, "num_gens": None, "linear": None,
+            "aborted": "15 products of generators exceed the cap 12"}
+        assert report["power_routes"] == ["koszul", "x_condition", "x_condition", None]
+        rc, out, err = run(capsys, "analyze", k3, "--max-power", "12")
+        assert rc == 0 and err == ""
+        assert "  k=4: aborted (15 products of generators exceed the cap 12)" in out
+        assert "k=5" not in out
+
+    def test_power_product_cap_without_graph_stages(self, capsys, monkeypatch, sturmfels):
+        monkeypatch.setattr(monomials_mod, "POWER_PRODUCT_CAP", 20)
+        rc, report = run_json(capsys, "analyze", sturmfels, "--max-power", "3")
+        assert rc == 0
+        assert [r["num_gens"] for r in report["powers"]] == [8, None]
+        assert report["power_routes"] == ["koszul", None]
+
     def test_rees_budget_costs_one_stage(self, capsys, monkeypatch, msq):
         monkeypatch.setattr(rees_mod, "GROEBNER_BUDGET", 5)
         rc, report = run_json(capsys, "analyze", msq)
@@ -289,6 +312,18 @@ class TestQuotients:
         rc, report = run_json(capsys, "quotients", disjoint)
         assert rc == 0
         assert report["linear_quotients"]["ok"] is False
+
+    @pytest.mark.parametrize("command", ["analyze", "quotients"])
+    def test_search_budget_leaves_the_order_unknown(self, capsys, monkeypatch, sturmfels,
+                                                    command):
+        monkeypatch.setattr(quotients_mod, "LQ_SEARCH_BUDGET", 1)
+        rc, report = run_json(capsys, command, sturmfels)
+        assert rc == 0
+        assert report["linear_quotients"] == {
+            "ok": "unknown", "via": "search",
+            "reason": "order search exceeded 1 nodes on 8 generators"}
+        rc, out, err = run(capsys, command, sturmfels)
+        assert rc == 0 and "linear quotients: unknown (search budget exhausted)" in out
 
     def test_zero_ideal_rejected(self, capsys, tmp_path):
         path = write_ideal(tmp_path, "zero.json", ["x1"], [])
@@ -452,22 +487,27 @@ def ideal_files(draw):
     return json.dumps(obj)
 
 
+SUBCOMMANDS = ["analyze", "betti", "power", "chordal", "groebner", "quotients", "walks"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 @settings(max_examples=100, deadline=None)
-@given(ideal_files())
-def test_analyze_fuzz_keeps_the_exit_code_contract(text):
+@given(text=ideal_files())
+def test_fuzz_keeps_the_exit_code_contract(command, text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ideal.json"
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["analyze", str(path), "--json"])
+            rc = main([command, str(path), "--json"])
     assert rc in (0, 2, 3)
     if rc != 3:
         assert "Traceback" not in err.getvalue()
     if rc == 0:
-        assert json.loads(out.getvalue())["command"] == "analyze"
+        assert json.loads(out.getvalue())["command"] == command
     else:
         assert out.getvalue() == ""
+
 
 
 def test_console_script_installed(tmp_path):

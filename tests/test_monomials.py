@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import brute_minimalize, ideal_of, sturmfels_ideal, terai_ideal
-from linres.errors import InputError
+import linres.monomials as monomials_mod
+from linres.errors import InputError, ResourceGuard
 from linres.monomials import (
     Monomial,
     MonomialIdeal,
@@ -174,6 +175,14 @@ class TestPower:
     def test_k_zero_rejected(self):
         with pytest.raises(InputError):
             ideal_of(2, (1, 2)).power(0)
+
+    def test_product_cap(self, monkeypatch):
+        # 8 generators: C(9, 2) = 36 products at k = 2
+        monkeypatch.setattr(monomials_mod, "POWER_PRODUCT_CAP", 36)
+        assert sturmfels_ideal().power(2).num_gens == 36
+        monkeypatch.setattr(monomials_mod, "POWER_PRODUCT_CAP", 35)
+        with pytest.raises(ResourceGuard, match="^36 products of generators exceed the cap 35$"):
+            sturmfels_ideal().power(2)
 
     @given(
         st.lists(
