@@ -16,6 +16,11 @@ outside the ideal (K_a is void), multidegrees that are not the lcm of
 the generators dividing them (off the LCM lattice, where K_a is a cone),
 and strands whose facets share a vertex (again a cone).  A cone has no
 reduced homology over any field, so the skips leave the table exact.
+The face classes of the divisors are split once per node of the walk,
+as each coordinate is fixed, and shared by every multidegree below it.
+Reduced homology is a function of the facet set alone, so each distinct
+facet set is taken once per walk and added at every multidegree that
+has it; nothing is kept from one walk to the next.
 
 One walk serves every requested field (koszul_tables).  A live strand's
 faces stay int bitmasks of vertices from its facets to its boundary
@@ -189,33 +194,9 @@ def cohomology_dims(faces, field: FieldSpec) -> dict[int, int]:
 # Koszul strand computation
 # ---------------------------------------------------------------------------
 
-def _live_facets(divisors: int, exact: list[list[int]], a: list[int]) -> list[int]:
-    """Facet bitmasks of K_a from the bitset of generators dividing x^a,
-    or [] when the facets share a vertex (K_a is a cone).
-
-    Generator g contributes the face {v : a_v > g_v}; only the maximal
-    ones are kept.  The generators are split into classes of equal faces
-    one variable at a time: a divisor g has g_v <= a_v, so v is in its
-    face unless g is in exact[v][a_v].
-    """
-    classes = [(divisors, 0)]
-    for v, av in enumerate(a):
-        if not av:
-            continue
-        hit, bit = exact[v][av], 1 << v
-        split = []
-        for gens, mask in classes:
-            same = gens & hit
-            if same:
-                split.append((same, mask))
-            if same != gens:
-                split.append((gens ^ same, mask | bit))
-        classes = split
-    masks = [m for _, m in classes]
-    # every face lies in a facet, so a vertex common to all faces is
-    # common to the facets too
-    if functools.reduce(operator.and_, masks):
-        return []
+def _maximal_faces(masks: list[int]) -> list[int]:
+    """The maximal masks among *masks* (the facets of the complex they
+    generate), or [] when those share a vertex (the complex is a cone)."""
     masks.sort(key=int.bit_count, reverse=True)
     maximal: list[int] = []
     for mask in masks:
@@ -333,9 +314,13 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     is skipped when x^a is not in the ideal (K_a is void), when a is not
     the lcm of the generators dividing x^a (it lies outside the LCM
     lattice, and K_a is a cone), and when the facets of K_a share a
-    vertex (K_a is a cone).  The scan aborts with ResourceGuard, before
-    anything is scanned, when the whole box holds more multidegrees than
-    MULTIDEGREE_CAP.
+    vertex (K_a is a cone).  The face classes are split once per walk
+    node, when a coordinate is fixed, not once per multidegree.  The
+    homology of each distinct facet set is computed once per call and
+    reused at every multidegree with the same facets, which is exact
+    because K_a's reduced homology depends only on its facets.  The scan
+    aborts with ResourceGuard, before anything is scanned, when the whole
+    box holds more multidegrees than MULTIDEGREE_CAP.
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
@@ -377,17 +362,28 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     # tests fail on a prefix they fail for every completion of it, and the
     # walk skips the whole subtree.  It visits the live multidegrees in
     # the lexicographic order of the box.
+    #
+    # classes[v] lists the divisors of the prefix a[:v] as (bitset, mask)
+    # pairs, one per distinct face mask {u < v : a_u > g_u}; fixing a_v = t
+    # keeps the divisors in le[v][t] and moves those outside exact[v][t] to
+    # mask | {v}.  homology maps each facet set met in this walk to its
+    # _strand_homology result.
     tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
+    homology: dict[tuple[int, ...], list[dict[int, int]]] = {}
     # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
     a = [-1] * n
     divisors = [(1 << len(gens_exps)) - 1] + [0] * n
+    classes = [[(divisors[0], 0)]] + [[]] * n
     v = 0
     while v >= 0:
         if v == n:
-            facets = _live_facets(divisors[n], exact, a)
+            facets = _maximal_faces([mask for _, mask in classes[n]])
             if facets:
+                key = tuple(sorted(facets))
+                if key not in homology:
+                    homology[key] = _strand_homology(facets, fields)
                 j = sum(a)
-                for entries, dims in zip(tables, _strand_homology(facets, fields)):
+                for entries, dims in zip(tables, homology[key]):
                     for i, h in dims.items():
                         entries[(i, j)] = entries.get((i, j), 0) + h
             v -= 1
@@ -404,6 +400,16 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
             continue
         a[v] = t
         divisors[v + 1] = d
+        hit, bit = exact[v][t], 1 << v
+        split = []
+        for gens, mask in classes[v]:
+            gens &= d
+            same = gens & hit
+            if same:
+                split.append((same, mask))
+            if same != gens:
+                split.append((gens ^ same, mask | bit))
+        classes[v + 1] = split
         v += 1
     return {
         f.label: BettiTable(n=n, field=f, entries=entries, gen_degree=ideal.degree)
@@ -439,10 +445,10 @@ def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     for w_size in range(ideal.n + 1):
         for w in itertools.combinations(universe, w_size):
             faces = [
-                frozenset(f)
+                face
                 for r in range(w_size + 1)
-                for f in itertools.combinations(w, r)
-                if not any(s <= frozenset(f) for s in supports)
+                for face in map(frozenset, itertools.combinations(w, r))
+                if not any(s <= face for s in supports)
             ]
             if not faces:
                 continue

@@ -301,7 +301,7 @@ def cmd_quotients(args) -> tuple[dict, list[str]]:
     lq = pipeline.order_stage(ideal, ideal, None, names, constructible)
     if lq["ok"] is True:
         lq["verified"] = True
-        if report.get("isolated_squares"):
+        if lq["via"] == "construction" and report.get("isolated_squares"):
             lq["isolated_squares_at_bottom"] = report["isolated_squares"]
     report["linear_quotients"] = lq
     return report, lines + [_quotients_line(lq)]

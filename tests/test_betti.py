@@ -217,31 +217,47 @@ class TestKoszulAgainstBruteForce:
         assert list(tables) == ["Q", "GF(2)"]
         assert tables["Q"].is_linear and not tables["GF(2)"].is_linear
 
-    def test_homology_only_on_non_cone_strands(self, monkeypatch):
-        import linres.betti as betti_mod
-
-        power = terai_ideal().power(2)
+    @staticmethod
+    def count_homology(monkeypatch) -> list[frozenset]:
+        """Patch _strand_homology to record each call's facet set (1-based)."""
         calls = []
         original = betti_mod._strand_homology
 
         def counting(facets, fields):
-            calls.append(len(facets))
+            calls.append(frozenset(
+                frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+                for mask in facets))
             return original(facets, fields)
 
         monkeypatch.setattr(betti_mod, "_strand_homology", counting)
+        return calls
+
+    def test_homology_only_on_non_cone_strands(self, monkeypatch):
+        power = terai_ideal().power(2)
+        calls = self.count_homology(monkeypatch)
         koszul_tables(power, (QQ, GF2))
 
         box = [range(max(g.exps[v] for g in power.gens) + 1) for v in range(power.n)]
-        live = 0
+        live = []
         for a in itertools.product(*box):
             facets = brute_strand_facets(power, a)
             maximal = [f for f in facets if not any(f < other for other in facets)]
             if maximal and not frozenset.intersection(*maximal):
-                live += 1
-        assert 0 < live < sum(
+                live.append(frozenset(maximal))
+        assert 0 < len(live) < sum(
             1 for a in itertools.product(*box) if brute_strand_facets(power, a)
         )
-        assert len(calls) == live
+        # the same complex recurs at other multidegrees, and is taken once
+        assert len(set(live)) < len(live)
+        assert len(calls) == len(set(calls)) == len(set(live))
+        assert set(calls) == set(live)
+
+    def test_homology_dict_lives_for_one_walk(self, monkeypatch):
+        calls = self.count_homology(monkeypatch)
+        koszul_tables(terai_ideal().power(2), (QQ, GF2))
+        first = len(calls)
+        koszul_tables(terai_ideal().power(2), (QQ, GF2))
+        assert first > 0 and len(calls) == 2 * first
 
 
 def gf2_bits(rows):

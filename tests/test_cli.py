@@ -308,6 +308,20 @@ class TestQuotients:
         assert lq["ok"] is True and lq["via"] == "construction" and lq["verified"]
         assert sorted(lq["order"]) == ["x1*x2", "x1*x3", "x2*x3"]
 
+    def test_squares_at_bottom_only_for_a_constructed_order(self, capsys, tmp_path, msq):
+        rc, report = run_json(capsys, "quotients", msq)
+        lq = report["linear_quotients"]
+        assert rc == 0 and lq["via"] == "construction"
+        assert lq["isolated_squares_at_bottom"] == [1] and lq["order"][-1] == "x1^2"
+        # (*) fails, so the order is searched and x1^2 comes first
+        searched = write_ideal(tmp_path, "sq.json", ["x1", "x2", "x3"], ["x1^2", "x1*x2"])
+        rc, report = run_json(capsys, "quotients", searched)
+        lq = report["linear_quotients"]
+        assert rc == 0 and report["isolated_squares"] == [1]
+        assert lq["ok"] is True and lq["via"] == "search"
+        assert lq["order"] == ["x1^2", "x1*x2"]
+        assert "isolated_squares_at_bottom" not in lq
+
     def test_no_order_reported(self, capsys, disjoint):
         rc, report = run_json(capsys, "quotients", disjoint)
         assert rc == 0
