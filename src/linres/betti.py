@@ -36,12 +36,15 @@ The independent cross-check for squarefree ideals reads the same table
 from the other side: beta_{i,j}(I) is the sum over j-element vertex
 subsets W of dim H~^{j-i-2} of the induced Stanley-Reisner subcomplex,
 assembled here via coboundary (not boundary) matrices so the two routes
-share as little code as possible.
+share as little code as possible.  Only the W that are unions of
+generator supports are taken; at any other W the induced complex is a
+cone (see hochster_oracle).
 
 All ranks are exact: fraction-free integer elimination over Q, modular
 elimination over GF(p), XOR elimination over GF(2).  The test-scale
-oracle's cohomology_dims assembles its own matrices from frozenset faces
-and shares no face or matrix code with the walk.
+oracle lists its faces once per call as vertex bitmasks, assembles its
+own coboundary matrices and ranks them densely with FieldSpec.rank; it
+shares no face or matrix code with the walk.
 """
 
 from __future__ import annotations
@@ -73,14 +76,14 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
-        """Accepts Q, GF:p, GF(p), and GFp spellings."""
+        """Accepts Q, GF:p, GF(p), and GFp spellings, p in ASCII digits."""
         t = text.strip()
         if t in ("Q", "QQ", "q"):
             return FieldSpec(None)
         u = t.upper()
         if u.startswith("GF"):
             body = u[2:].strip(":()")
-            if body.isdigit():
+            if body.isascii() and body.isdigit():
                 return FieldSpec(int(body))
         raise InputError(f"cannot parse field {text!r}; use Q or GF:p")
 
@@ -145,49 +148,52 @@ class BettiTable:
 # reduced simplicial cohomology of small complexes
 # ---------------------------------------------------------------------------
 
+def _mask_cohomology(faces: list[int], field: FieldSpec) -> dict[int, int]:
+    """Reduced cohomology dimensions of the complex with these faces
+    (distinct vertex bitmasks), keyed by dimension, through coboundary
+    matrices: the coboundary of a k-face f has the entry (-1)^t at each
+    (k+1)-face f | {v}, where t counts the vertices of f below v.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for f in faces:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    vertices = functools.reduce(operator.or_, faces, 0)
+    ranks: dict[int, int] = {}  # rank of the coboundary from k-cochains
+    for k, rows in by_dim.items():
+        col_of = {g: c for c, g in enumerate(by_dim.get(k + 1, ()))}
+        if not col_of:
+            continue
+        mat = []
+        for f in rows:
+            row = [0] * len(col_of)
+            rest = vertices & ~f
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = col_of.get(f | bit)
+                if c is not None:
+                    row[c] = -1 if (f & (bit - 1)).bit_count() & 1 else 1
+            mat.append(row)
+        ranks[k] = field.rank(mat)
+    out: dict[int, int] = {}
+    for k in sorted(by_dim):
+        h = len(by_dim[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
+        if h:
+            out[k] = h
+    return out
+
+
 def cohomology_dims(faces, field: FieldSpec) -> dict[int, int]:
     """Reduced cohomology dimensions, assembled through coboundary matrices.
 
     Over a field these agree with the reduced homology dimensions; the
     coboundary assembly keeps the Hochster route from sharing matrix code
-    with the boundary-matrix routes.
+    with the boundary-matrix routes.  The faces, sets of comparable vertex
+    labels, become bitmasks in the order of the labels.
     """
-    face_set = {frozenset(f) for f in faces}
-    by_dim: dict[int, list[frozenset]] = {}
-    for f in face_set:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    if not by_dim:
-        return {}
-    for k in by_dim:
-        by_dim[k].sort(key=sorted)
-    vertices = sorted({v for f in face_set for v in f})
-    top = max(by_dim)
-    ranks: dict[int, int] = {}
-    for k in range(-1, top + 1):
-        # coboundary from k-cochains to (k+1)-cochains
-        cols_idx = {f: c for c, f in enumerate(by_dim.get(k + 1, []))}
-        rows = by_dim.get(k, [])
-        if not rows or not cols_idx:
-            ranks[k] = 0
-            continue
-        mat = [[0] * len(cols_idx) for _ in rows]
-        for r, f in enumerate(rows):
-            for v in vertices:
-                if v in f:
-                    continue
-                g = f | {v}
-                if g not in cols_idx:
-                    continue
-                sign = (-1) ** sum(1 for u in f if u < v)
-                mat[r][cols_idx[g]] += sign
-        ranks[k] = field.rank(mat)
-    out: dict[int, int] = {}
-    for k in range(-1, top + 1):
-        ck = len(by_dim.get(k, []))
-        h = ck - ranks.get(k, 0) - ranks.get(k - 1, 0)
-        if h:
-            out[k] = h
-    return out
+    faces = [frozenset(f) for f in faces]
+    bit_of = {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
+    return _mask_cohomology(list({sum(map(bit_of.get, f)) for f in faces}), field)
 
 
 # ---------------------------------------------------------------------------
@@ -429,35 +435,42 @@ def koszul_betti(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
 def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
     """Betti table of a squarefree monomial ideal via induced subcomplexes.
 
-    Runs over all vertex subsets W, takes the induced subcomplex of the
-    Stanley-Reisner complex (faces = subsets containing no generator's
-    support), and reads beta_{i,|W|} from reduced cohomology in dimension
-    |W| - i - 2.  Exponential in n; intended as an independent check of
-    koszul_betti at desk scale, not as the production path.
+    By Hochster's formula beta_{i,|W|} is the sum over vertex subsets W of
+    dim H~^{|W|-i-2} of Delta_W, the Stanley-Reisner complex (faces: the
+    vertex sets containing no generator's support) induced on W.  The
+    faces are listed once, as bitmasks, and cohomology is taken only at
+    the W that are the union of the supports inside them: the squarefree
+    LCM lattice.  Skipping every other W is exact.  Such a W has a vertex
+    v in no support inside W, so v lies in no minimal non-face of Delta_W
+    and sigma | {v} is a face for every face sigma: Delta_W is a cone with
+    apex v, with no reduced cohomology over any field.  The oracle aborts
+    with ResourceGuard, before any work, when 3^n, the number of pairs
+    (W, face inside W), exceeds MULTIDEGREE_CAP (so from n = 14 on).
+    Exponential in n; intended as an independent check of koszul_betti at
+    desk scale, not as the production path.
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
     if not ideal.is_squarefree():
         raise InputError("this oracle handles squarefree ideals only; polarize first")
-    supports = [frozenset(g.support) for g in ideal.gens]
+    n = ideal.n
+    if 3**n > MULTIDEGREE_CAP:
+        raise ResourceGuard(
+            f"3^{n} vertex subsets and faces inside them exceed the cap {MULTIDEGREE_CAP}"
+        )
+    supports = [sum(1 << (v - 1) for v in g.support) for g in ideal.gens]
+    faces = [f for f in range(1 << n) if not any(s & f == s for s in supports)]
+    lattice = {0}
+    for s in supports:
+        lattice |= {w | s for w in lattice}
     entries: dict[tuple[int, int], int] = {}
-    universe = list(range(1, ideal.n + 1))
-    for w_size in range(ideal.n + 1):
-        for w in itertools.combinations(universe, w_size):
-            faces = [
-                face
-                for r in range(w_size + 1)
-                for face in map(frozenset, itertools.combinations(w, r))
-                if not any(s <= face for s in supports)
-            ]
-            if not faces:
-                continue
-            dims = cohomology_dims(faces, field)
-            for k, h in dims.items():
-                i = w_size - k - 2
-                if i >= 0:
-                    entries[(i, w_size)] = entries.get((i, w_size), 0) + h
-    return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
+    for w in sorted(lattice):
+        j = w.bit_count()
+        for k, h in _mask_cohomology([f for f in faces if f & w == f], field).items():
+            i = j - k - 2
+            if i >= 0:
+                entries[(i, j)] = entries.get((i, j), 0) + h
+    return BettiTable(n=n, field=field, entries=entries, gen_degree=ideal.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -52,6 +54,12 @@ class TestFieldSpec:
             FieldSpec.parse("R")
         with pytest.raises(InputError):
             FieldSpec(4)
+
+    @pytest.mark.parametrize("text", ["GF\u00b2", "GF(\u0663)"])
+    def test_parse_rejects_non_ascii_digits(self, text):
+        # str.isdigit accepts a superscript two and an Arabic-Indic three
+        with pytest.raises(InputError):
+            FieldSpec.parse(text)
 
 
 class TestIsPrime:
@@ -338,6 +346,59 @@ class TestHochsterOracle:
                 continue
             ideal = ideal_of(6, *chosen)
             assert hochster_oracle(ideal).entries == koszul_betti(ideal).entries
+
+    @staticmethod
+    def seeded_ideals(seed, count):
+        """Squarefree ideals in n <= 6 variables with generators of degree 2 and 3."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(4, 6)
+            subsets = [c for d in (2, 3) for c in itertools.combinations(range(1, n + 1), d)]
+            yield ideal_of(n, *rng.sample(subsets, rng.randint(2, 10)))
+
+    def test_cone_skip_is_exact_against_brute_force(self):
+        # brute_koszul_betti takes homology at every multidegree, skipping none
+        for ideal in [terai_ideal(), *self.seeded_ideals(20261019, 30)]:
+            for field in (QQ, GF2, GF3):
+                assert (
+                    hochster_oracle(ideal, field).entries
+                    == brute_koszul_betti(ideal, field).entries
+                ), (ideal, field)
+
+    def test_cohomology_only_on_unions_of_supports(self, monkeypatch):
+        calls = []
+        original = betti_mod._mask_cohomology
+
+        def counting(faces, field):
+            # every generator has degree >= 2, so each vertex of W is a face
+            calls.append(functools.reduce(operator.or_, faces, 0))
+            return original(faces, field)
+
+        monkeypatch.setattr(betti_mod, "_mask_cohomology", counting)
+        ideals = [terai_ideal(), sturmfels_ideal(), *self.seeded_ideals(7, 5)]
+        for ideal in ideals:
+            calls.clear()
+            hochster_oracle(ideal, QQ)
+            supports = [sum(1 << (v - 1) for v in g.support) for g in ideal.gens]
+            unions = set()
+            for w in range(1 << ideal.n):
+                inside = [s for s in supports if s & w == s]
+                if functools.reduce(operator.or_, inside, 0) == w:
+                    unions.add(w)
+            assert len(unions) < 1 << ideal.n, ideal
+            assert len(calls) == len(set(calls)) == len(unions), ideal
+            assert set(calls) == unions, ideal
+
+    def test_work_bound(self, monkeypatch):
+        # 3^13 pairs (W, face inside W) fit under MULTIDEGREE_CAP, 3^14 do not
+        assert hochster_oracle(ideal_of(13, (1, 2))).entries == {(0, 2): 1}
+
+        def boom(*args):
+            raise AssertionError("no cohomology may run past the bound")
+
+        monkeypatch.setattr(betti_mod, "_mask_cohomology", boom)
+        with pytest.raises(ResourceGuard):
+            hochster_oracle(ideal_of(14, (1, 2)))
 
 
 class TestVerdicts:

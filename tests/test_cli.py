@@ -431,6 +431,10 @@ class TestExitCodes:
         rc, out, err = run(capsys, "analyze", k3, "--field", "R")
         assert rc == 2 and "cannot parse field" in err
 
+    def test_non_ascii_digit_in_field_exits_two(self, capsys, k3):
+        rc, out, err = run(capsys, "analyze", k3, "--field", "GF\u00b2")
+        assert rc == 2 and "cannot parse field" in err and "Traceback" not in err
+
     def test_modulus_beyond_exact_primality_exits_two(self, capsys, k3):
         rc, out, err = run(capsys, "analyze", k3, "--field", "GF:1000000000000000000000007")
         assert rc == 2 and "error:" in err
