@@ -15,6 +15,7 @@ elimination order verification; every verdict carries a certificate
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import deque
@@ -64,9 +65,18 @@ class Graph:
             return i in self.loops
         return (min(i, j), max(i, j)) in self.edges
 
+    @functools.cached_property
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        """Every vertex's neighbor set, built once, on the first neighbors call."""
+        adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return {v: frozenset(nb) for v, nb in adj.items()}
+
     def neighbors(self, v: int) -> frozenset[int]:
         """Neighbors through simple edges (a loop does not make v its own neighbor)."""
-        return frozenset(j if i == v else i for i, j in self.edges if v in (i, j))
+        return self._adjacency.get(v, frozenset())
 
     def simple(self) -> "Graph":
         return Graph(self.n, self.edges) if self.loops else self
@@ -275,21 +285,11 @@ class SimplicialComplex:
                 canon.append(f)
         object.__setattr__(self, "facets", tuple(canon))
 
-    @property
-    def num_facets(self) -> int:
-        return len(self.facets)
-
     def vertices(self) -> frozenset[int]:
         out: set[int] = set()
         for f in self.facets:
             out |= f
         return frozenset(out)
-
-    def one_skeleton(self) -> Graph:
-        edges = set()
-        for f in self.facets:
-            edges.update(itertools.combinations(sorted(f), 2))
-        return Graph(self.n, frozenset(edges))
 
 
 def maximal_cliques(graph: Graph) -> list[frozenset[int]]:

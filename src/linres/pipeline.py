@@ -16,17 +16,19 @@ x-condition), and every order ``linres quotients`` prints, passes
 Each ideal is walked once for all the fields: the Betti stage's checked
 tables give both the linearity verdicts and the k = 1 power record.  Each
 power k >= 2 of a quadratic ideal is certified before it is walked: by the
-x-condition order (rees.x_condition_order) when the x-degree certificate
-holds, else at k = 2 by the colon bound for an edge ideal
+x-condition order (rees.ReesRing.smallest_factorizations) when (*) and (**)
+hold on the relabeled ideal, whether or not the Rees stage finished, else
+at k = 2 by the colon bound for an edge ideal
 (graphs.square_colons_linear).  Only a power that no certificate decides
 gets a Koszul walk.  ``report["power_routes"]`` names the route of each
 record of ``report["powers"]``: ``koszul``, ``x_condition`` or
 ``colon_bound``, or None for a power with more products of generators
 than MonomialIdeal.power may form, which is never built.  A Rees stage
 that runs out of budget reports ``{"status": "unknown", "reason": ...}``;
-its cross-checks are skipped and the run goes on.  The other modules are
-called through their module attributes, so wrappers installed on them
-(profilers, test doubles) see every call.
+its cross-checks are skipped and the run goes on; one of them requires
+each reduced pure-y element to lead to a smallest factorization.  The
+other modules are called through their module attributes, so wrappers
+installed on them (profilers, test doubles) see every call.
 """
 
 from __future__ import annotations
@@ -220,8 +222,9 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
 
     # stage 3: a linear-quotients order, by construction when the conditions
     # license it and by exhaustive search otherwise
+    constructible = star.ok and star2.ok
     t0 = time.perf_counter()
-    lq = order_stage(ideal, relabeled, labeling, names, star.ok and star2.ok)
+    lq = order_stage(ideal, relabeled, labeling, names, constructible)
     if lq["via"] == "construction":
         # the squares the construction leaves at the bottom, as input variables
         iso = quotients.isolated_squares(relabeled)
@@ -264,7 +267,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
                 f"linear resolution but a square fails the free-vertex/facet "
                 f"conditions, witness {plain(fv.witness)}"
             )
-    if any_linear and labeling is not None and not (star.ok and star2.ok):
+    if any_linear and labeling is not None and not constructible:
         raise Falsification(
             "linear resolution but the relabeled ideal fails (*) or (**)"
         )
@@ -283,7 +286,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
                        **rees_json}
     timings["rees"] = round(time.perf_counter() - t0, 3)
     xdeg_ok = basis is not None and rees_json["x_degree"]["ok"]
-    if basis is not None and star.ok and star2.ok and not xdeg_ok:
+    if basis is not None and constructible and not xdeg_ok:
         raise Falsification(
             "(*) and (**) hold but the reduced basis has a lead of x-degree > 1"
         )
@@ -293,16 +296,30 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
         )
 
     # stage 6: powers, each certified before any walk: by the x-condition
-    # order when the x-degree certificate holds (so every power is linear or
-    # a Falsification is raised), else at k = 2 by the colon bound for an
+    # order when (*) and (**) hold (so every power is linear or a
+    # Falsification is raised), else at k = 2 by the colon bound for an
     # edge ideal whose regularity is at most 4 over every field
     colon_premise = ideal.is_squarefree() and all(t.regularity <= 4 for t in tables.values())
     routes = ["koszul"]  # k = 1 is read from the Betti stage's tables
+    if constructible:
+        levels = rees.ReesRing.from_ideal(relabeled).smallest_factorizations()
+        next(levels)  # k = 1
+        # the reduced elements of x-degree 0, each of which must lead to a
+        # smallest factorization
+        fiber = [] if basis is None else [g for g in basis.elements if not any(g.lead[:ideal.n])]
 
     def certify(k, power) -> bool:
-        if xdeg_ok:
-            checked_order(rees.x_condition_order(basis, k), labeling, power,
-                          f"x-degree certificate holds but the x-condition order of power k={k}")
+        if constructible:
+            smallest = next(levels)
+            facs = set(smallest.values())
+            for g in fiber:
+                if sum(g.lead) == k and (g.tail[ideal.n:] not in facs or g.lead[ideal.n:] in facs):
+                    raise Falsification(
+                        f"reduced basis element {rees.format_binomial(g, basis.ring.names)} does "
+                        f"not lead from a larger factorization of its product to the smallest")
+            order = [monomials.Monomial(p) for p in sorted(smallest, key=smallest.get)]
+            checked_order(order, labeling, power,
+                          f"(*) and (**) hold but the x-condition order of power k={k}")
             routes.append("x_condition")
         elif k == 2 and colon_premise and graphs.square_colons_linear(g_simple):
             routes.append("colon_bound")

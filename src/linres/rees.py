@@ -12,7 +12,9 @@ y_e x_a0 x_b0 - y_e0 x_a x_b per generator edge e other than the first
 edge e0 = (a0, b0)), seeded with the degree-2 part of the toric ideal
 (m0 - m for degree-2 monomials m0, m with the same image), saturation by
 x_b0 and then x_a0 via the reverse-lex trick for homogeneous ideals,
-then the reduced Groebner basis under the edge-lex order.
+then the reduced Groebner basis under the edge-lex order.  The
+x-condition order of the powers needs none of this: it is built from the
+generators alone (ReesRing.smallest_factorizations).
 
 Everything is pure-difference binomial arithmetic; no general
 polynomial type is needed.  Binomials are exponent tuples at every
@@ -100,9 +102,6 @@ class TermOrder:
         if self.graded:
             return (sum(exps), tuple(-exps[r] for r in reversed(self.ranking)))
         return tuple(exps[r] for r in self.ranking)
-
-    def gt(self, a, b) -> bool:
-        return self.key(a) > self.key(b)
 
 
 @dataclass(frozen=True)
@@ -194,6 +193,36 @@ class ReesRing:
             if m0 != m:
                 out.append(Binomial(m0, m))
         return out
+
+    def smallest_factorizations(self):
+        """Yield, for k = 1, 2, ..., a dict from each product of k generators
+        (x-exponents) to its smallest factorization (y-exponents, least in
+        edge-lex).  Ascending by factorization, the products are the minimal
+        generators of I^k in the order of the x-condition (Herzog, Hibi and
+        Zheng 2004, section 1), which has linear quotients when every reduced
+        basis lead has x-degree at most one; the caller checks both.
+
+        Degree k extends each factorization of degree k - 1 by every edge no
+        smaller than its largest and keeps the least result per product.
+        Nothing is missed: dropping the largest edge y_e of a smallest
+        factorization f of u leaves a smallest one of u / x^e, since a
+        smaller one times y_e would undercut f.  A reduced pure-y tail is the
+        standard monomial of its fiber, which is the least element of that
+        fiber: the smallest factorization of its product.
+        """
+        size = len(self.edges)
+        images = [col[:self.n] for col in self.columns()[self.n:]]
+        level = {(0,) * self.n: (0,) * size}
+        while True:
+            longer: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for product, fac in level.items():
+                top = max((e for e, c in enumerate(fac) if c), default=0)
+                for e in range(top, size):
+                    ext = fac[:e] + (fac[e] + 1,) + fac[e + 1:]
+                    key = _vadd(product, images[e])
+                    longer[key] = min(ext, longer.get(key, ext))
+            level = longer
+            yield level
 
     def edge_lex(self) -> TermOrder:
         """Lex with y-variables first (ascending edge), then x_1..x_n."""
@@ -601,57 +630,6 @@ def x_degree_check(basis: ToricBasis) -> XDegreeReport:
             if d > 1 and witness is None:
                 witness = g
     return XDegreeReport(worst <= 1, worst, witness)
-
-
-def x_condition_order(basis: ToricBasis, k: int) -> tuple[Monomial, ...]:
-    """The generators of I^k in the order the x-condition licenses
-    (Herzog, Hibi and Zheng 2004, section 1), in the ring's coordinates.
-
-    P is homogeneous in the x-degree (the row n+1 of the monomial map
-    counts it), so both sides of a basis element have the same x-degree,
-    and the elements of x-degree 0 form a Groebner basis of P meet K[y],
-    the ideal of the fiber ring K[I].  Hence the degree-k y-monomials
-    that no pure-y lead divides are a K-basis of K[I]_k, and their
-    images, the products of k generators, are the distinct products: for
-    an ideal generated in one degree, exactly the minimal generators of
-    I^k, each once.  They are listed ascending in the basis order and
-    mapped to their products.  When every lead has x-degree at most one,
-    the proof in HHZ shows that this order has linear quotients; the
-    caller checks both facts (``x_degree_check`` for the premise).
-
-    A standard monomial m y_v whose largest y-variable is y_v has the
-    standard divisor m, so a lead dividing m y_v but not m holds y_v to
-    its full power and no larger variable: the walk extends each
-    standard monomial by variables from its largest one up and tests
-    only the leads whose largest variable is the one added.
-    """
-    if k < 1:
-        raise InputError(f"power must be a positive integer, got {k}")
-    ring = basis.ring
-    n, size = ring.n, ring.num_vars
-    by_last: dict[int, list[tuple[int, ...]]] = {}
-    for g in basis.elements:
-        if not any(g.lead[:n]):
-            last = max(v for v, e in enumerate(g.lead) if e)
-            by_last.setdefault(last, []).append(g.lead)
-    # (exponents, largest y-variable) of the standard monomials of each degree
-    level = [((0,) * size, n)]
-    for _ in range(k):
-        longer = []
-        for exps, top in level:
-            for v in range(top, size):
-                ext = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
-                if not any(_divides(lead, ext) for lead in by_last.get(v, ())):
-                    longer.append((ext, v))
-        level = longer
-    out = []
-    for exps, _ in sorted(level, key=lambda m: basis.order.key(m[0])):
-        product = [0] * n
-        for (a, b), e in zip(ring.edges, exps[n:]):
-            product[a - 1] += e
-            product[b - 1] += e
-        out.append(Monomial(tuple(product)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

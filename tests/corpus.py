@@ -102,6 +102,45 @@ def brute_colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, tuple(brute_minimalize(g / g.gcd(m) for g in ideal.gens)))
 
 
+def lead_walk_order(basis, k: int) -> tuple[Monomial, ...]:
+    """The products of k generators in the x-condition order, read off a
+    reduced Rees basis: the degree-k y-monomials that no pure-y lead
+    divides, ascending in the basis order, mapped to their products.
+
+    A standard monomial m y_v whose largest y-variable is y_v has the
+    standard divisor m, so a lead dividing m y_v but not m holds y_v to
+    its full power and no larger variable: the walk extends each
+    standard monomial by variables from its largest one up and tests
+    only the leads whose largest variable is the one added.
+    """
+    ring = basis.ring
+    n, size = ring.n, ring.num_vars
+    by_last: dict[int, list[tuple[int, ...]]] = {}
+    for g in basis.elements:
+        if not any(g.lead[:n]):
+            last = max(v for v, e in enumerate(g.lead) if e)
+            by_last.setdefault(last, []).append(g.lead)
+    # (exponents, largest y-variable) of the standard monomials of each degree
+    level = [((0,) * size, n)]
+    for _ in range(k):
+        longer = []
+        for exps, top in level:
+            for v in range(top, size):
+                ext = exps[:v] + (exps[v] + 1,) + exps[v + 1:]
+                if not any(all(x <= y for x, y in zip(lead, ext))
+                           for lead in by_last.get(v, ())):
+                    longer.append((ext, v))
+        level = longer
+    out = []
+    for exps, _ in sorted(level, key=lambda m: basis.order.key(m[0])):
+        product = [0] * n
+        for (a, b), e in zip(ring.edges, exps[n:]):
+            product[a - 1] += e
+            product[b - 1] += e
+        out.append(Monomial(tuple(product)))
+    return tuple(out)
+
+
 def brute_chordless_cycle_exists(graph: Graph) -> bool:
     """Does some vertex subset of size >= 4 induce a cycle?  O(2^n) oracle."""
     verts = range(1, graph.n + 1)

@@ -1,19 +1,23 @@
 """The two power certificates of analyze: each "linear" they give must be a
 linear resolution over Q and GF(2) by the Koszul walk.
 
-The x-condition order (rees.x_condition_order) runs on criterion 6's set:
-the corpus ideals whose complement is chordal and whose relabeled ideal
-passes both generator conditions.  The colon bound
+The x-condition order (ReesRing.smallest_factorizations) runs on criterion
+6's set: the corpus ideals whose complement is chordal and whose relabeled
+ideal passes both generator conditions.  It must equal the order read off
+the reduced Rees basis by the lead walk of corpus.lead_walk_order there
+and on the relabeled complements of paths.  The colon bound
 (graphs.square_colons_linear) runs on every squarefree corpus ideal and on
 seeded random graphs, and its closed-form colons are compared with the
 colon from its definition.
 """
 
+import itertools
 import random
+import re
 
 import pytest
 
-from corpus import brute_colon, ideal_of, square_corpus, squarefree_corpus
+from corpus import brute_colon, ideal_of, lead_walk_order, square_corpus, squarefree_corpus
 import linres.rees as rees_mod
 from linres import pipeline
 from linres.betti import GF2, QQ, koszul_tables
@@ -32,7 +36,7 @@ from linres.graphs import (
 )
 from linres.monomials import Monomial, monomial_from_support
 from linres.quotients import has_linear_quotients
-from linres.rees import toric_ideal_basis, x_condition_order, x_degree_check
+from linres.rees import ReesRing, toric_ideal_basis, x_degree_check
 
 
 def koszul_linear(ideal) -> bool:
@@ -65,6 +69,19 @@ def random_graphs(n: int, count: int, seed: int = 2026):
     return out
 
 
+def x_condition_orders(ideal, max_k: int):
+    """The x-condition orders of I^1 .. I^max_k: the products of each degree
+    ascending by their smallest factorization."""
+    levels = ReesRing.from_ideal(ideal).smallest_factorizations()
+    return [tuple(Monomial(p) for p in sorted(smallest, key=smallest.get))
+            for smallest in itertools.islice(levels, max_k)]
+
+
+def relabeled_co_path(n: int):
+    ideal = ideal_of(n, *((a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1)))
+    return ideal.relabel(dirac_labeling(graph_of_ideal(ideal), ideal.square_set()))
+
+
 class TestXConditionOrder:
     def test_sound_on_criterion_6_set(self):
         ideals = criterion_6_set()
@@ -72,26 +89,35 @@ class TestXConditionOrder:
         for ideal in ideals:
             basis = toric_ideal_basis(ideal)
             assert x_degree_check(basis).ok, ideal
-            for k in (2, 3):
+            for k, order in enumerate(x_condition_orders(ideal, 3), start=1):
+                assert order == lead_walk_order(basis, k), (ideal, k)
+                if k == 1:
+                    continue
                 power = ideal.power(k)
-                order = x_condition_order(basis, k)
                 assert len(order) == power.num_gens and set(order) == set(power.gens), (ideal, k)
                 assert has_linear_quotients(order).ok, (ideal, k)
                 assert koszul_linear(power), (ideal, k)
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_equals_the_lead_walk_on_co_paths(self, n):
+        ideal = relabeled_co_path(n)
+        basis = toric_ideal_basis(ideal)
+        for k, order in enumerate(x_condition_orders(ideal, 4), start=1):
+            assert order == lead_walk_order(basis, k), k
+
     def test_ascending_order_on_the_triangle(self):
         # y[1,2] > y[1,3] > y[2,3] in edge-lex, so the smallest products come first
-        basis = toric_ideal_basis(ideal_of(3, (1, 2), (1, 3), (2, 3)))
-        order = x_condition_order(basis, 2)
+        order = x_condition_orders(ideal_of(3, (1, 2), (1, 3), (2, 3)), 2)[1]
         assert [m.exps for m in order] == [
             (0, 2, 2), (1, 1, 2), (2, 0, 2), (1, 2, 1), (2, 1, 1), (2, 2, 0)]
 
     def test_standard_monomials_only(self):
-        # (x1, x2)^2: y[1,1] y[2,2] - y[1,2]^2 leads with y[1,1] y[2,2],
-        # so y[1,2]^2 stands for x1^2 x2^2
-        basis = toric_ideal_basis(ideal_of(2, (1, 1), (1, 2), (2, 2)))
-        order = x_condition_order(basis, 2)
-        assert len(order) == 5 == len(set(order))
+        # (x1, x2)^2: x1^2 x2^2 is y[1,1] y[2,2] and y[1,2]^2, and the
+        # second is smaller in edge-lex
+        ring = ReesRing.from_ideal(ideal_of(2, (1, 1), (1, 2), (2, 2)))
+        smallest = list(itertools.islice(ring.smallest_factorizations(), 2))[1]
+        assert len(smallest) == 5
+        assert smallest[(2, 2)] == (0, 2, 0)
 
 
 class TestColonBound:
@@ -133,16 +159,36 @@ class TestColonBound:
         assert not square_colons_linear(Graph(4, frozenset({(1, 2), (3, 4)})))
 
 
+def wrong_levels(monkeypatch, change):
+    """Install a double of ReesRing.smallest_factorizations that passes each
+    degree through change(ring, smallest) on its way out."""
+    right = rees_mod.ReesRing.smallest_factorizations
+
+    def wrong(ring):
+        for smallest in right(ring):
+            yield change(ring, smallest)
+
+    monkeypatch.setattr(rees_mod.ReesRing, "smallest_factorizations", wrong)
+
+
+def largest_factorizations(ring, smallest):
+    """Each product of *smallest* with its largest factorization instead."""
+    k = sum(next(iter(smallest.values())))
+    images = [col[:ring.n] for col in ring.columns()[ring.n:]]
+    out = {}
+    for combo in itertools.combinations_with_replacement(range(len(ring.edges)), k):
+        fac = tuple(combo.count(e) for e in range(len(ring.edges)))
+        product = tuple(map(sum, zip(*(images[e] for e in combo))))
+        out[product] = max(out.get(product, fac), fac)
+    return out
+
+
 class TestWrongOrderInAnalyze:
     def test_wrong_order_is_a_falsification(self, monkeypatch):
-        right = rees_mod.x_condition_order
-
-        def reversed_order(basis, k):
-            return right(basis, k)[::-1]
-
-        monkeypatch.setattr(rees_mod, "x_condition_order", reversed_order)
-        # the descending order of I^2 fails linear quotients for the
-        # complement of the path 1-2-3-4
+        # negated, the factorizations sort descending; the descending order
+        # of I^2 fails linear quotients for the complement of the path 1-2-3-4
+        wrong_levels(monkeypatch, lambda ring, smallest: {
+            p: tuple(-c for c in fac) for p, fac in smallest.items()})
         with pytest.raises(Falsification, match="fails linear quotients"):
             pipeline.analyze(ideal_of(4, (1, 3), (1, 4), (2, 4)))
 
@@ -168,7 +214,13 @@ class TestWrongOrderInAnalyze:
             pipeline.analyze(co_p6, max_power=1)
 
     def test_missing_generator_is_a_falsification(self, monkeypatch):
-        right = rees_mod.x_condition_order
-        monkeypatch.setattr(rees_mod, "x_condition_order", lambda basis, k: right(basis, k)[1:])
+        wrong_levels(monkeypatch, lambda ring, smallest: dict(list(smallest.items())[1:]))
         with pytest.raises(Falsification, match="5 products for its 6 minimal generators"):
             pipeline.analyze(ideal_of(3, (1, 2), (1, 3), (2, 3)))
+
+    def test_basis_tail_off_the_order_is_a_falsification(self, monkeypatch):
+        wrong_levels(monkeypatch, largest_factorizations)
+        co_p5 = ideal_of(5, *((a, b) for a in range(1, 6) for b in range(a + 2, 6)))
+        binomial = re.escape("y[1,4]*y[2,5] - y[1,5]*y[2,4]")
+        with pytest.raises(Falsification, match=f"element {binomial} does not lead"):
+            pipeline.analyze(co_p5)

@@ -197,7 +197,8 @@ class TestAnalyze:
         assert rc == 0
         assert report["rees"] == {"status": "unknown",
                                   "reason": "buchberger: exceeded 5 steps"}
-        assert report["power_routes"] == ["koszul", "koszul"]
+        # (*) and (**) hold, so I^2 is certified without the Rees basis
+        assert report["power_routes"] == ["koszul", "x_condition"]
         assert report["linear_resolution"] == {"Q": True, "GF(2)": True}
         assert all(all(r["linear"].values()) for r in report["powers"])
         assert {"complement_chordal", "conditions", "linear_quotients", "betti",

@@ -41,6 +41,12 @@ def g(n, *edges, loops=()):
 C4 = g(4, (1, 2), (2, 3), (3, 4), (1, 4))
 
 
+def one_skeleton(cx: SimplicialComplex) -> Graph:
+    """The graph of the edges of the facets of *cx*."""
+    edges = {e for f in cx.facets for e in itertools.combinations(sorted(f), 2)}
+    return Graph(cx.n, frozenset(edges))
+
+
 class TestGraphBasics:
     def test_edges_normalized(self):
         assert g(3, (3, 1)).edges == frozenset({(1, 3)})
@@ -126,13 +132,24 @@ class TestChordality:
         assert is_chordal(path) and is_chordal(star)
 
     def test_quasi_tree_skeleton_complement(self):
-        skel = clique_complex(g(4, (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))).one_skeleton()
+        skel = one_skeleton(clique_complex(g(4, (1, 2), (1, 3), (2, 3), (2, 4), (3, 4))))
         assert is_chordal(complement(skel))
 
     def test_peo_certificate_verifies(self):
         graph = g(5, (1, 2), (2, 3), (1, 3), (3, 4), (4, 5))
         cert = is_chordal(graph)
         assert cert and verify_peo(graph, cert.peo) is None
+
+    def test_sparse_graph_and_its_dense_complement(self):
+        # two disjoint edges on 300 vertices are chordal; the complement
+        # holds the chordless 4-cycle 1-3-2-4
+        graph = g(300, (1, 2), (3, 4))
+        cert = is_chordal(graph)
+        assert cert and verify_peo(graph, cert.peo) is None
+        comp = complement(graph)
+        assert comp.neighbors(1) == frozenset(range(3, 301))
+        cert = is_chordal(comp)
+        assert not cert and cert.chordless_cycle == (1, 3, 2, 4)
 
     def test_verify_peo_catches_violations(self):
         # no order of C4 is a perfect elimination order
@@ -186,8 +203,8 @@ class TestCliqueComplex:
             cert = is_chordal(graph)
             if cert:
                 cx = clique_complex(graph, cert.peo)
-                assert cx.one_skeleton().edges == graph.edges
-                assert cx.num_facets <= max(graph.n, 1)
+                assert one_skeleton(cx).edges == graph.edges
+                assert len(cx.facets) <= max(graph.n, 1)
 
     def test_invalid_peo_rejected(self):
         with pytest.raises(InputError):
@@ -242,7 +259,7 @@ class TestLeavesAndOrders:
             if cx is None:
                 continue
             greedy = leaf_order(cx)
-            m = cx.num_facets
+            m = len(cx.facets)
             exhaustive = any(
                 all(is_leaf(cx, p[i], among=p[: i + 1]) for i in range(m))
                 for p in itertools.permutations(range(m))
