@@ -17,20 +17,25 @@ the generators dividing them (off the LCM lattice, where K_a is a cone),
 and strands whose facets share a vertex (again a cone).  A cone has no
 reduced homology over any field, so the skips leave the table exact.
 The face classes of the divisors are split once per node of the walk,
-as each coordinate is fixed, and shared by every multidegree below it.
-Reduced homology is a function of the facet set alone, so each distinct
-facet set is taken once per walk and added at every multidegree that
-has it; nothing is kept from one walk to the next.
+as each coordinate is fixed, and shared by every multidegree below it;
+a leaf reads its face masks straight off its parent's classes.  Reduced
+homology is a function of the facet set alone, so each distinct facet
+set is taken once per walk and added at every multidegree that has it;
+nothing is kept from one walk to the next.
 
-One walk serves every requested field (koszul_tables).  A live strand's
-faces stay int bitmasks of vertices from its facets to its boundary
-matrices; each matrix is built once and ranked over every field.  GF(2)
-reduces the columns, each one int, against an XOR basis.  Over Q that
-GF(2) rank is a lower bound, and the rank is at most the number of
-columns and at most the rows less the rank of the boundary below; when
-the GF(2) rank meets that bound it is the rank over Q, and fraction-free
-elimination runs only on the rest.  Other GF(p) eliminate the dense
-signed matrix.
+One walk serves every requested field (koszul_tables).  A strand's two
+lowest boundary ranks come from connectivity, the same over every field:
+1 from vertices to the empty face, and V - c from edges to vertices, as
+an oriented graph incidence matrix with c components has rank V - c over
+every field.  So a complex of dimension <= 1 lists no faces
+(H~_0 = c - 1, H~_1 = E - V + c), and only boundaries from faces of
+size >= 3 are built, from int bitmasks of vertices, each once and ranked
+over every field.  GF(2) reduces the columns, each one int, against an
+XOR basis.  Over Q that GF(2) rank is a lower bound, and the rank is at
+most the number of columns and at most the rows less the rank of the
+boundary below; when the GF(2) rank meets that bound it is the rank over
+Q, and fraction-free elimination runs only on the rest.  Other GF(p)
+eliminate the dense signed matrix.
 
 The independent cross-check for squarefree ideals reads the same table
 from the other side: beta_{i,j}(I) is the sum over j-element vertex
@@ -275,30 +280,53 @@ def _strand_homology(facets: list[int], fields) -> list[dict[int, int]]:
 
     Facets and faces are vertex bitmasks.  For each field, in order, the
     result maps a face size s to the nonzero dim H~_{s-1}, which is the
-    strand's contribution to beta_{s, |a|}.  Each boundary matrix is
-    ranked over every field by _rank_boundary.
+    strand's contribution to beta_{s, |a|}.  The ranks from vertices to
+    the empty face (1, or 0 for {emptyset}) and from edges to vertices
+    (V - c over c components) come from connectivity, so only boundaries
+    from faces of size >= 3 are built, each ranked over every field by
+    _rank_boundary.
     """
-    faces = set()
+    # components: the vertex sets of the connected components, each the
+    # union of the facets that overlap one another
+    vertices, components = 0, []
     for mask in facets:
-        sub = mask
-        while True:
-            faces.add(sub)
-            if not sub:
-                break
-            sub = (sub - 1) & mask
-    by_size: list[list[int]] = [[] for _ in range(max(map(int.bit_count, facets)) + 1)]
-    for f in faces:
-        by_size[f.bit_count()].append(f)
+        vertices |= mask
+        joined, apart = mask, []
+        for comp in components:
+            if comp & mask:
+                joined |= comp
+            else:
+                apart.append(comp)
+        if mask:
+            apart.append(joined)
+        components = apart
+    nv = vertices.bit_count()
+    top = max(map(int.bit_count, facets))
+    # counts[s]: the number of faces of size s
+    if top <= 2:
+        counts = [1, nv, sum(f.bit_count() == 2 for f in facets)]
+    else:
+        faces = set()
+        for mask in facets:
+            sub = mask
+            while sub:
+                faces.add(sub)
+                sub = (sub - 1) & mask
+        by_size = [[] for _ in range(top + 1)]
+        for f in faces:
+            by_size[f.bit_count()].append(f)
+        counts = [1, nv] + [len(level) for level in by_size[2:]]
     # ranks[k][s]: rank over fields[k] of the boundary from size-s faces
     # to size-(s - 1) faces; 0 at s = 0 and beyond the top
-    ranks = [[0] * (len(by_size) + 1) for _ in fields]
-    for s in range(1, len(by_size)):
+    low = [0, min(nv, 1), nv - len(components)]
+    ranks = [low + [0] * (len(counts) - 2) for _ in fields]
+    for s in range(3, len(counts)):
         _rank_boundary(by_size[s], by_size[s - 1], s, fields, ranks)
     out = []
     for rk in ranks:
         dims = {}
-        for s, level in enumerate(by_size):
-            h = len(level) - rk[s] - rk[s + 1]
+        for s, count in enumerate(counts):
+            h = count - rk[s] - rk[s + 1]
             if h:
                 dims[s] = h
         out.append(dims)
@@ -321,10 +349,14 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     the lcm of the generators dividing x^a (it lies outside the LCM
     lattice, and K_a is a cone), and when the facets of K_a share a
     vertex (K_a is a cone).  The face classes are split once per walk
-    node, when a coordinate is fixed, not once per multidegree.  The
-    homology of each distinct facet set is computed once per call and
-    reused at every multidegree with the same facets, which is exact
-    because K_a's reduced homology depends only on its facets.  The scan
+    node, when a coordinate is fixed, not once per multidegree; the last
+    coordinate is fixed in place, each leaf's face masks read straight
+    off its parent's classes.  The homology of each distinct facet set is
+    computed once per call and reused at every multidegree with the same
+    facets, which is exact because K_a's reduced homology depends only on
+    its facets.  Its two lowest boundary ranks are 1 and V - c over every
+    field, since an oriented graph incidence matrix with c components has
+    rank V - c, so only faces of size >= 3 reach a matrix.  The scan
     aborts with ResourceGuard, before anything is scanned, when the whole
     box holds more multidegrees than MULTIDEGREE_CAP.
     """
@@ -372,28 +404,18 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     # classes[v] lists the divisors of the prefix a[:v] as (bitset, mask)
     # pairs, one per distinct face mask {u < v : a_u > g_u}; fixing a_v = t
     # keeps the divisors in le[v][t] and moves those outside exact[v][t] to
-    # mask | {v}.  homology maps each facet set met in this walk to its
+    # mask | {v}; for the last coordinate the split masks are the leaf's
+    # face masks.  homology maps each facet set met in this walk to its
     # _strand_homology result.
     tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
     homology: dict[tuple[int, ...], list[dict[int, int]]] = {}
     # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
     a = [-1] * n
-    divisors = [(1 << len(gens_exps)) - 1] + [0] * n
-    classes = [[(divisors[0], 0)]] + [[]] * n
+    divisors = [(1 << len(gens_exps)) - 1] + [0] * (n - 1)
+    classes = [[(divisors[0], 0)]] + [[]] * (n - 1)
+    last = n - 1
     v = 0
     while v >= 0:
-        if v == n:
-            facets = _maximal_faces([mask for _, mask in classes[n]])
-            if facets:
-                key = tuple(sorted(facets))
-                if key not in homology:
-                    homology[key] = _strand_homology(facets, fields)
-                j = sum(a)
-                for entries, dims in zip(tables, homology[key]):
-                    for i, h in dims.items():
-                        entries[(i, j)] = entries.get((i, j), 0) + h
-            v -= 1
-            continue
         t = a[v] + 1
         while t <= maxvec[v]:
             d = divisors[v] & le[v][t]
@@ -405,18 +427,37 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
             v -= 1
             continue
         a[v] = t
-        divisors[v + 1] = d
         hit, bit = exact[v][t], 1 << v
         split = []
+        if v < last:
+            for gens, mask in classes[v]:
+                gens &= d
+                same = gens & hit
+                if same:
+                    split.append((same, mask))
+                if same != gens:
+                    split.append((gens ^ same, mask | bit))
+            divisors[v + 1] = d
+            classes[v + 1] = split
+            v += 1
+            continue
+        # the leaf a: its face masks, read off the classes of a[:n - 1]
         for gens, mask in classes[v]:
             gens &= d
             same = gens & hit
             if same:
-                split.append((same, mask))
+                split.append(mask)
             if same != gens:
-                split.append((gens ^ same, mask | bit))
-        classes[v + 1] = split
-        v += 1
+                split.append(mask | bit)
+        facets = _maximal_faces(split)
+        if facets:
+            key = tuple(sorted(facets))
+            if key not in homology:
+                homology[key] = _strand_homology(facets, fields)
+            j = sum(a)
+            for entries, dims in zip(tables, homology[key]):
+                for i, h in dims.items():
+                    entries[(i, j)] = entries.get((i, j), 0) + h
     return {
         f.label: BettiTable(n=n, field=f, entries=entries, gen_degree=ideal.degree)
         for f, entries in zip(fields, tables)

@@ -180,18 +180,23 @@ class ReesRing:
         Degree-2 monomials of T are grouped by their image (column sum);
         each group member m after the first m0 gives m0 - m.  Two distinct
         columns never coincide, so the sides of each binomial are coprime.
+        Each column is the sum of two unit vectors, the ends of an edge of
+        the cone graph: (i, n + 1) for x_i and (a, b) for y_(a,b).  A group
+        is keyed by the sorted four ends of its image and keeps only the
+        index pair of its first member; exponent tuples are built only for
+        the binomials emitted.
         """
-        cols = self.columns()
-        groups: dict[tuple[int, ...], tuple[int, ...]] = {}
+        ends = [(i, self.n + 1) for i in range(1, self.n + 1)] + list(self.edges)
+
+        def quadric(i: int, j: int) -> tuple[int, ...]:
+            return tuple((v == i) + (v == j) for v in range(self.num_vars))
+
+        groups: dict[tuple[int, ...], tuple[int, int]] = {}
         out = []
-        for i, j in itertools.combinations_with_replacement(range(self.num_vars), 2):
-            exps = [0] * self.num_vars
-            exps[i] += 1
-            exps[j] += 1
-            m = tuple(exps)
-            m0 = groups.setdefault(_vadd(cols[i], cols[j]), m)
-            if m0 != m:
-                out.append(Binomial(m0, m))
+        for pair in itertools.combinations_with_replacement(range(self.num_vars), 2):
+            first = groups.setdefault(tuple(sorted(ends[pair[0]] + ends[pair[1]])), pair)
+            if first != pair:
+                out.append(Binomial(quadric(*first), quadric(*pair)))
         return out
 
     def smallest_factorizations(self):

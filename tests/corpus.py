@@ -4,11 +4,12 @@ Everything here is deliberately dumb and independent of the library's
 clever paths, so it can serve as cross-check material.
 """
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from linres.betti import BettiTable
 from linres.graphs import Graph
 from linres.monomials import Monomial, MonomialIdeal, ideal_from_strings
+from linres.rees import Binomial
 
 
 def ideal_of(n: int, *supports) -> MonomialIdeal:
@@ -229,3 +230,22 @@ def brute_koszul_betti(ideal: MonomialIdeal, field) -> BettiTable:
             key = (k + 1, sum(a))
             entries[key] = entries.get(key, 0) + h
     return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
+
+
+def degree_two_seed_reference(ring):
+    """ReesRing.degree_two_seed from its definition: every degree-2
+    monomial of T as an exponent tuple, grouped by its column sum, and
+    m0 - m for each member m after the first m0 of its group."""
+    cols = ring.columns()
+    groups: dict = {}
+    out = []
+    for i, j in combinations_with_replacement(range(ring.num_vars), 2):
+        exps = [0] * ring.num_vars
+        exps[i] += 1
+        exps[j] += 1
+        m = tuple(exps)
+        image = tuple(x + y for x, y in zip(cols[i], cols[j]))
+        m0 = groups.setdefault(image, m)
+        if m0 != m:
+            out.append(Binomial(m0, m))
+    return out

@@ -14,6 +14,7 @@ from corpus import (
     homology_dims,
     ideal_of,
     square_corpus,
+    squarefree_corpus,
     sturmfels_ideal,
     terai_ideal,
 )
@@ -266,6 +267,111 @@ class TestKoszulAgainstBruteForce:
         first = len(calls)
         koszul_tables(terai_ideal().power(2), (QQ, GF2))
         assert first > 0 and len(calls) == 2 * first
+
+
+def facets_met_in_walks(monkeypatch, ideals) -> set[tuple[int, ...]]:
+    """The distinct facet sets the walks of *ideals* pass to _strand_homology."""
+    seen = set()
+    original = betti_mod._strand_homology
+
+    def recording(facets, fields):
+        seen.add(tuple(sorted(facets)))
+        return original(facets, fields)
+
+    monkeypatch.setattr(betti_mod, "_strand_homology", recording)
+    for ideal in ideals:
+        koszul_tables(ideal, (QQ,))
+    monkeypatch.undo()
+    return seen
+
+
+class TestStrandHomology:
+    """_strand_homology takes the two lowest boundary ranks from
+    connectivity and lists faces only for complexes of dimension >= 2;
+    the boundary-matrix oracle homology_dims ranks every boundary."""
+
+    FIELDS = (QQ, GF2, GF3)
+
+    @classmethod
+    def check(cls, facets):
+        faces = {
+            frozenset(sub)
+            for mask in facets
+            for r in range(mask.bit_count() + 1)
+            for sub in itertools.combinations(
+                [v for v in range(mask.bit_length()) if mask >> v & 1], r)
+        }
+        got = betti_mod._strand_homology(list(facets), cls.FIELDS)
+        for field, dims in zip(cls.FIELDS, got):
+            # the result is keyed by face size, one above the dimension
+            expect = {k + 1: h for k, h in homology_dims(faces, field).items()}
+            assert dims == expect, (facets, field)
+
+    @staticmethod
+    def maximal(masks):
+        masks = set(masks)
+        return [m for m in masks if not any(m != o and m & o == m for o in masks)]
+
+    @pytest.mark.parametrize("facets, dims", [
+        ([0], {0: 1}),  # {emptyset}: H~_{-1} = 1
+        ([0b1, 0b10, 0b100], {1: 2}),  # three isolated points
+        ([0b11, 0b1100, 0b10000], {1: 2}),  # two edges and a point
+        ([0b11, 0b110, 0b101], {2: 1}),  # a triangle's boundary: a cycle
+        # a square and a triangle's boundary, apart: two components, two cycles
+        ([0b11, 0b110, 0b1100, 0b1001, 0b110000, 0b1100000, 0b1010000], {1: 1, 2: 2}),
+        ([0b111, 0b1011, 0b1101, 0b1110], {3: 1}),  # the boundary of a tetrahedron
+        # a 2-sphere and an edge apart from it
+        ([0b11110 ^ (1 << v) for v in range(1, 5)] + [0b1100000], {1: 1, 3: 1}),
+        ([0b111111 ^ (1 << v) for v in range(6)], {5: 1}),  # a 4-sphere
+    ])
+    def test_named_complexes(self, facets, dims):
+        assert betti_mod._strand_homology(facets, self.FIELDS) == [dims] * 3
+        self.check(facets)
+
+    def test_projective_plane_over_each_field(self):
+        triangles = [
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+        ]
+        facets = [sum(1 << v for v in t) for t in triangles]
+        assert betti_mod._strand_homology(facets, self.FIELDS) == [{}, {2: 1, 3: 1}, {}]
+        self.check(facets)
+
+    def test_every_facet_set_of_the_corpus_walks(self, monkeypatch):
+        ideals = [*squarefree_corpus(5), *square_corpus(4),
+                  sturmfels_ideal().power(2), terai_ideal().power(2)]
+        seen = facets_met_in_walks(monkeypatch, ideals)
+        assert {max(m.bit_count() for m in f) for f in seen} == {0, 1, 2, 3, 4, 5}
+        for facets in seen:
+            self.check(facets)
+
+    def test_seeded_random_complexes(self):
+        rng = random.Random(20261019)
+        tops = set()
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            top = rng.randint(1, min(n, 5))
+            masks = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, top)))
+                     for _ in range(rng.randint(1, 6))]
+            facets = self.maximal(masks)
+            tops.add(max(m.bit_count() for m in facets))
+            self.check(facets)
+        assert tops == {1, 2, 3, 4, 5}
+
+    def test_no_boundary_below_size_three(self, monkeypatch):
+        original = betti_mod._rank_boundary
+        sizes = []
+
+        def guarded(cols, rows, s, fields, ranks):
+            if s < 3 or any(f.bit_count() < 3 for f in cols):
+                raise AssertionError(f"boundary from faces of size {s} built")
+            sizes.append(s)
+            return original(cols, rows, s, fields, ranks)
+
+        monkeypatch.setattr(betti_mod, "_rank_boundary", guarded)
+        tables = koszul_tables(terai_ideal().power(2), (QQ, GF2))
+        assert sizes and min(sizes) == 3
+        assert not tables["Q"].is_linear
 
 
 def gf2_bits(rows):

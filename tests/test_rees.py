@@ -1,12 +1,20 @@
 import itertools
 import operator
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import ideal_of, m_squared, square_corpus, square_straddle_ideal, squarefree_corpus
+from corpus import (
+    degree_two_seed_reference,
+    ideal_of,
+    m_squared,
+    square_corpus,
+    square_straddle_ideal,
+    squarefree_corpus,
+)
 import linres.rees as rees_mod
 from linres import pipeline
 from linres.errors import BudgetExhausted, Falsification, InputError, ResourceGuard
@@ -264,6 +272,28 @@ class TestDegreeTwoSeed:
         monkeypatch.setattr(rees_mod, "GROEBNER_BUDGET", 10_000)
         basis = toric_ideal_basis(dirac_relabeled(co_path(7)))
         assert len(basis.elements) == 60
+
+    def test_seed_equals_the_column_sum_reference(self):
+        # the same binomials in the same order as grouping exponent tuples
+        # by their column sums, on every corpus ring and past n = 5
+        ideals = [*squarefree_corpus(5), *square_corpus(4),
+                  *(build(n) for n in range(5, 10) for build in (co_path, co_cycle))]
+        for ideal in ideals:
+            ring = ReesRing.from_ideal(ideal)
+            assert ring.degree_two_seed() == degree_two_seed_reference(ring), ideal
+
+    def test_wide_ring_without_relations_in_small_memory(self):
+        # x1x2, x3x4 on 200 variables: 20,503 degree-2 monomials, all with
+        # distinct images; tuples of all of them took 65.5 MiB
+        ring = ReesRing.from_ideal(ideal_of(200, (1, 2), (3, 4)))
+        tracemalloc.start()
+        try:
+            seed = ring.degree_two_seed()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seed == []
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("ideal", [
         m_squared(), C4_IDEAL, CO_C5, ideal_of(3, (1, 3), (2, 2)), co_path(6),
