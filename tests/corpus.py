@@ -249,3 +249,14 @@ def degree_two_seed_reference(ring):
         if m0 != m:
             out.append(Binomial(m0, m))
     return out
+
+
+def first_divisor(m: int, leads, guard: int) -> int:
+    """Index of the first packed lead that divides the packed monomial m,
+    or -1, by scanning every lead in order: x^a divides x^b iff
+    ((b | G) - a) & G == G, with G the guard bits of the packing."""
+    high = m | guard
+    for k, g in enumerate(leads):
+        if (high - g) & guard == guard:
+            return k
+    return -1

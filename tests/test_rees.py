@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from corpus import (
     degree_two_seed_reference,
+    first_divisor,
     ideal_of,
     m_squared,
     square_corpus,
@@ -235,9 +237,9 @@ class TestSaturationCount:
         original = rees_mod._saturate_variable
         seen = []
 
-        def counting(gens, ring, v):
+        def counting(pk, pairs, ring, v):
             seen.append(v)
-            return original(gens, ring, v)
+            return original(pk, pairs, ring, v)
 
         monkeypatch.setattr(rees_mod, "_saturate_variable", counting)
         toric_ideal_basis(ideal)
@@ -249,11 +251,12 @@ class TestDegreeTwoSeed:
     def unseeded_basis(ideal):
         # the lattice basis alone, saturated by x_b0 and then x_a0
         ring = ReesRing.from_ideal(ideal)
-        gens = ring.lattice_basis()
+        pk = rees_mod._Packing(ring.edge_lex(), ring.num_vars)
+        pairs = pk.pairs(ring.lattice_basis())
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):
-            gens = rees_mod._saturate_variable(gens, ring, v)
-        return reduced_groebner(gens, ring.edge_lex())
+            pk, pairs = rees_mod._saturate_variable(pk, pairs, ring, v)
+        return reduced_groebner(pk.binomials(*zip(*pairs)), ring.edge_lex())
 
     @pytest.mark.parametrize("ideal", [
         pytest.param(build(n), id=f"{label}{n}", marks=[pytest.mark.slow] if n == 7 else [])
@@ -434,6 +437,42 @@ def test_toric_basis_at_n9(ideal, x_degree_ok, size):
     assert x_degree_check(basis).ok is x_degree_ok
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("ideal, x_degree_ok, size, digest", [
+    (co_path(10), True, 364, "0e9aef2e2f03bcff5eceef6c894dd4017eacfc5d8bbc015da6f4fa3ba8f8794e"),
+    (co_cycle(10), False, 391, "a36ca9ac702fa3348fd00c6bb088485daec7fa956a64b4901f4935accd1e611d"),
+], ids=["co-P10", "co-C10"])
+def test_toric_basis_at_n10(ideal, x_degree_ok, size, digest):
+    # the digests are those of the bases before the lead index
+    basis = toric_ideal_basis(ideal)
+    assert len(basis.elements) == size
+    pairs = repr([(g.lead, g.tail) for g in basis.elements])
+    assert hashlib.sha256(pairs.encode()).hexdigest() == digest
+    assert x_degree_check(basis).ok is x_degree_ok
+
+
+@pytest.mark.parametrize("ideal, spent", [
+    (CO_C5, (44, 0, 23, 0, 17, 0)),
+    (co_path(6), (514, 1, 299, 2, 226, 0)),
+    (co_cycle(7), (2301, 3, 2124, 2, 1251, 0)),
+    (dirac_relabeled(co_path(7)), (2940, 5, 2080, 4, 1741, 1)),
+], ids=["co-C5", "co-P6", "co-C7", "relabeled co-P7"])
+def test_steps_of_every_run(monkeypatch, ideal, spent):
+    # a Buchberger run and an interreduction per saturation and for the
+    # final order; the steps are those of the linear reducer scan
+    made = []
+
+    class Recording(rees_mod._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(rees_mod, "_Budget", Recording)
+    toric_ideal_basis(ideal)
+    runs = itertools.cycle(("buchberger", "interreduction"))
+    assert [(b.what, b.spent) for b in made] == list(zip(runs, spent))
+
+
 # the packed kernel against the tuple definitions, on the ring of co-C5
 # (five x and five y variables) with exponents up to just below the limit
 KERNEL_RING = ReesRing.from_ideal(CO_C5)
@@ -454,12 +493,13 @@ class TestPackedKernel:
         pa, pb = pk.pack(a), pk.pack(b)
         assert pk.unpack(pa) == a and pk.unpack(pb) == b
         assert pk.degree(pa) == sum(a)
-        # divisor() gives the index of the first lead dividing its monomial
-        assert (pk.divisor(pb, [pa]) == 0) is all(x <= y for x, y in zip(a, b))
-        assert (pk.divisor(pa, [pb]) == 0) is all(y <= x for x, y in zip(a, b))
+        # the guard-bit divisibility test of the reference linear scan
+        g = pk.guard
+        assert (first_divisor(pb, [pa], g) == 0) is all(x <= y for x, y in zip(a, b))
+        assert (first_divisor(pa, [pb], g) == 0) is all(y <= x for x, y in zip(a, b))
         lcm = pk.lcm(pa, pb)
         assert pk.unpack(lcm) == tuple(max(x, y) for x, y in zip(a, b))
-        assert pk.divisor(lcm, [pb, pa]) == 0 and pk.divisor(lcm, [pa]) == 0
+        assert first_divisor(lcm, [pb, pa], g) == 0 and first_divisor(lcm, [pa], g) == 0
         coprime = not pk.support(pa) & pk.support(pb)
         assert coprime is all(min(x, y) == 0 for x, y in zip(a, b))
         assert (pk.key(pa) > pk.key(pb)) is (order.key(a) > order.key(b))
@@ -485,6 +525,57 @@ class TestPackedKernel:
         # well below the limit the same pair has a basis
         small = [Binomial((1, 0), (0, 10)), Binomial((2, 0), (0, 1))]
         assert reduced_groebner(small, order)
+
+
+small_vector = st.tuples(*[st.integers(0, 2)] * KERNEL_RING.num_vars)
+
+
+class TestLeadIndex:
+    """The lead buckets return the lowest-index divisor, as the scan does."""
+
+    @staticmethod
+    def index_of(pk, leads):
+        index = rees_mod._LeadIndex(pk)
+        for g in leads:
+            index.add(g)
+        return index
+
+    @given(kernel_order, st.lists(small_vector, min_size=1, max_size=14),
+           st.lists(st.integers(0, 13), max_size=4), st.lists(small_vector, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_same_index_as_the_linear_scan(self, order, vectors, repeats, others):
+        pk = rees_mod._Packing(order, KERNEL_RING.num_vars)
+        leads = [pk.pack(a) for a in vectors]
+        leads += [leads[r % len(leads)] for r in repeats]
+        index = self.index_of(pk, leads)
+        # every lead as the monomial, random ones, 1 and a multiple of all
+        for m in [*leads, *map(pk.pack, others), 0, pk.pack((6,) * KERNEL_RING.num_vars)]:
+            assert index.divisor(m) == first_divisor(m, leads, pk.guard)
+
+    @pytest.mark.parametrize("order", [KERNEL_RING.edge_lex(), KERNEL_RING.grevlex_last(0)],
+                             ids=["edge-lex", "grevlex-last-0"])
+    def test_shared_lowest_byte_and_no_divisor(self, order):
+        pk = rees_mod._Packing(order, KERNEL_RING.num_vars)
+        v = pk.seq[-1]  # the variable in the lowest byte
+
+        def unit(*vs):
+            return pk.pack(tuple(vs.count(j) for j in range(KERNEL_RING.num_vars)))
+
+        w = pk.seq[0]
+        leads = [unit(v, w), unit(v, v), unit(v), unit(v)]
+        index = self.index_of(pk, leads)
+        assert len(index.buckets[0]) == 4
+        assert index.divisor(unit(v, v, w)) == 0
+        assert index.divisor(unit(v, v)) == 1
+        assert index.divisor(unit(w, w)) == -1
+        assert index.divisor(0) == -1
+
+    def test_the_lead_one_divides_everything(self):
+        pk = rees_mod._Packing(KERNEL_RING.edge_lex(), KERNEL_RING.num_vars)
+        leads = [pk.pack((1,) + (0,) * 9), 0, 0]
+        index = self.index_of(pk, leads)
+        for m in (0, leads[0], pk.pack((0, 2) + (0,) * 8)):
+            assert index.divisor(m) == first_divisor(m, leads, pk.guard)
 
 
 class TestReducedGroebner:
