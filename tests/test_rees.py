@@ -556,18 +556,17 @@ class TestLeadIndex:
                              ids=["edge-lex", "grevlex-last-0"])
     def test_shared_lowest_byte_and_no_divisor(self, order):
         pk = rees_mod._Packing(order, KERNEL_RING.num_vars)
-        v = pk.seq[-1]  # the variable in the lowest byte
+        v, w = pk.seq[-1], pk.seq[0]  # the variables in the lowest and the top byte
 
-        def unit(*vs):
+        def monomial(*vs):
             return pk.pack(tuple(vs.count(j) for j in range(KERNEL_RING.num_vars)))
 
-        w = pk.seq[0]
-        leads = [unit(v, w), unit(v, v), unit(v), unit(v)]
+        leads = [monomial(v, w), monomial(v, v), monomial(v), monomial(v)]
         index = self.index_of(pk, leads)
         assert len(index.buckets[0]) == 4
-        assert index.divisor(unit(v, v, w)) == 0
-        assert index.divisor(unit(v, v)) == 1
-        assert index.divisor(unit(w, w)) == -1
+        assert index.divisor(monomial(v, v, w)) == 0
+        assert index.divisor(monomial(v, v)) == 1
+        assert index.divisor(monomial(w, w)) == -1
         assert index.divisor(0) == -1
 
     def test_the_lead_one_divides_everything(self):
