@@ -122,15 +122,7 @@ def graph_to_json(graph: Graph) -> dict:
 def graph_of_ideal(ideal: MonomialIdeal) -> Graph:
     """The graph with an edge {i,j} per generator x_i x_j, loops for squares."""
     ideal._require_degree_two()
-    edges = set()
-    loops = set()
-    for g in ideal.gens:
-        sup = g.support
-        if len(sup) == 2:
-            edges.add(sup)
-        else:
-            loops.add(sup[0])
-    return Graph(ideal.n, frozenset(edges), frozenset(loops))
+    return Graph(ideal.n, ideal.pair_set(), ideal.square_set())
 
 
 def edge_ideal(graph: Graph) -> MonomialIdeal:
@@ -285,12 +277,6 @@ class SimplicialComplex:
                 canon.append(f)
         object.__setattr__(self, "facets", tuple(canon))
 
-    def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for f in self.facets:
-            out |= f
-        return frozenset(out)
-
 
 def maximal_cliques(graph: Graph) -> list[frozenset[int]]:
     """All maximal cliques, via Bron-Kerbosch with pivoting.  Simple graphs."""
@@ -336,6 +322,17 @@ def clique_complex(graph: Graph, peo=None) -> SimplicialComplex:
         ]
         cliques = candidates  # constructor drops non-maximal ones
     return SimplicialComplex(g.n, tuple(cliques))
+
+
+def _complement_clique_complex(graph: Graph, refusal: str) -> SimplicialComplex:
+    """The clique complex of the complement of a simple graph, read off a
+    perfect elimination order; when the complement is not chordal, a
+    PreconditionError "<refusal> <chordless cycle>" carrying the cycle."""
+    comp = complement(graph)
+    cert = is_chordal(comp)
+    if not cert:
+        raise PreconditionError(f"{refusal} {cert.chordless_cycle}", witness=cert.chordless_cycle)
+    return clique_complex(comp, cert.peo)
 
 
 def is_leaf(complex_: SimplicialComplex, facet_index: int, among=None) -> bool:
@@ -411,14 +408,7 @@ def dirac_labeling(graph: Graph, squares: Iterable[int] = ()) -> tuple[int, ...]
     squares = frozenset(squares)
     if any(not isinstance(v, int) or not 1 <= v <= graph.n for v in squares):
         raise InputError(f"square vertices {sorted(squares)} out of range 1..{graph.n}")
-    comp = complement(graph)
-    cert = is_chordal(comp)
-    if not cert:
-        raise PreconditionError(
-            f"complement is not chordal; chordless cycle {cert.chordless_cycle}",
-            witness=cert.chordless_cycle,
-        )
-    cx = clique_complex(comp, cert.peo)
+    cx = _complement_clique_complex(graph, "complement is not chordal; chordless cycle")
     order = leaf_order(cx)
     if order is None:
         raise Falsification("chordal complement's clique complex admits no leaf order")
@@ -483,24 +473,16 @@ def check_star_star(ideal: MonomialIdeal) -> CheckResult:
 
     The quantifier runs over each such k, with k = j allowed (then
     x_k x_j means x_j^2)."""
-    ideal._require_degree_two()
-    pairs = ideal.pair_set()
-    squares = sorted(ideal.square_set())
-
-    def member(p: int, q: int) -> bool:
-        if p == q:
-            return p in squares
-        return (min(p, q), max(p, q)) in pairs
-
-    gens2 = [(a, b) for a, b in sorted(pairs)] + [(s, s) for s in squares]
-    gens2.sort()
+    graph = graph_of_ideal(ideal)
+    squares = sorted(graph.loops)
+    gens2 = sorted([*graph.edges, *((s, s) for s in squares)])
     for i in squares:
         for a, b in gens2:
             # generator x_a x_b read as x_k x_j both ways round
             for j, k in ((b, a), (a, b)) if a != b else ((a, a),):
                 if j <= i:
                     continue
-                if member(i, j) or member(i, k):
+                if graph.has_edge(i, j) or graph.has_edge(i, k):
                     continue
                 return CheckResult(False, (i, j, k))
     return CheckResult(True)
@@ -510,22 +492,17 @@ def check_free_vertex_squares(ideal: MonomialIdeal) -> CheckResult:
     """Squares must sit on free vertices of the complement quasi-tree,
     no two in one facet.
 
-    Splits the ideal as (squares, J), takes the clique complex of the
-    complement of J's graph (requires that complement chordal), and
+    Takes the clique complex of the complement of the graph of the
+    squarefree generators (requires that complement chordal), and
     checks every square index is a free vertex and that no facet holds
     two square indices.  Witnesses: ("not_free", i) or
     ("shared_facet", i, j, facet-as-sorted-tuple)."""
-    j_part, squares = ideal.squarefree_part()
+    graph = graph_of_ideal(ideal)
+    squares = sorted(graph.loops)
     if not squares:
         return CheckResult(True)
-    comp = complement(graph_of_ideal(j_part).simple())
-    cert = is_chordal(comp)
-    if not cert:
-        raise PreconditionError(
-            f"complement of the squarefree part is not chordal; cycle {cert.chordless_cycle}",
-            witness=cert.chordless_cycle,
-        )
-    cx = clique_complex(comp, cert.peo)
+    cx = _complement_clique_complex(
+        graph.simple(), "complement of the squarefree part is not chordal; cycle")
     containing = {i: [f for f in cx.facets if i in f] for i in squares}
     for i in squares:
         if len(containing[i]) != 1:

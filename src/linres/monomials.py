@@ -13,6 +13,7 @@ make sense for it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -144,12 +145,6 @@ class MonomialIdeal:
     def is_squarefree(self) -> bool:
         return all(g.is_squarefree() for g in self.gens)
 
-    def contains(self, m: Monomial) -> bool:
-        """Ideal membership: some generator divides m."""
-        if m.n != self.n:
-            raise InputError("monomial lives in a different ring")
-        return any(g.divides(m) for g in self.gens)
-
     def power(self, k: int) -> "MonomialIdeal":
         """I^k via all k-fold products of generators, then minimalization;
         ResourceGuard, before any product is formed, when the C(m + k - 1, k)
@@ -172,22 +167,6 @@ class MonomialIdeal:
             prods.add(tuple(exps))
         return MonomialIdeal(self.n, tuple(Monomial(e) for e in prods))
 
-    def squarefree_part(self) -> tuple["MonomialIdeal", tuple[int, ...]]:
-        """Split a degree-2 ideal into (squarefree part J, square indices).
-
-        Returns J generated by the squarefree generators, plus the sorted
-        1-based indices i with x_i^2 among the generators.
-        """
-        self._require_degree_two()
-        squares = []
-        sf = []
-        for g in self.gens:
-            if g.is_squarefree():
-                sf.append(g)
-            else:
-                squares.append(g.support[0])
-        return MonomialIdeal(self.n, tuple(sf)), tuple(sorted(squares))
-
     def polarize(self) -> "MonomialIdeal":
         """Replace each generator x_i^2 by x_i * y_j with a fresh variable y_j.
 
@@ -197,7 +176,8 @@ class MonomialIdeal:
         they are.  The result is squarefree with the same number of
         generators.
         """
-        _, squares = self.squarefree_part()
+        self._require_degree_two()
+        squares = sorted(self.square_set())
         n_new = self.n + len(squares)
         slot = {i: self.n + j for j, i in enumerate(squares)}
         new_gens = []
@@ -222,18 +202,27 @@ class MonomialIdeal:
             new_gens.append(Monomial(tuple(exps)))
         return MonomialIdeal(self.n, tuple(new_gens))
 
+    @functools.cached_property
+    def _degree_two(self) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+        """The degree-2 generators read once, on the first pair_set or
+        square_set call: x_i x_j as the pair (i, j), i < j, and x_i^2 as i."""
+        pairs, squares = set(), set()
+        for g in self.gens:
+            if g.degree == 2:
+                s = g.support
+                if len(s) == 2:
+                    pairs.add(s)
+                else:
+                    squares.add(s[0])
+        return frozenset(pairs), frozenset(squares)
+
     def pair_set(self) -> frozenset[tuple[int, int]]:
         """Squarefree degree-2 generators as (i, j) pairs with i < j."""
-        pairs = set()
-        for g in self.gens:
-            if g.degree == 2 and g.is_squarefree():
-                i, j = g.support
-                pairs.add((i, j))
-        return frozenset(pairs)
+        return self._degree_two[0]
 
     def square_set(self) -> frozenset[int]:
         """Indices i with x_i^2 among the generators."""
-        return frozenset(g.support[0] for g in self.gens if g.degree == 2 and not g.is_squarefree())
+        return self._degree_two[1]
 
     def _require_degree_two(self) -> None:
         if any(g.degree != 2 for g in self.gens):

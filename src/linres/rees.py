@@ -6,6 +6,8 @@ each generator x_a x_b (a loop when a = b), and a cone edge (i, n+1)
 for each ring variable.  The presentation ideal in
 T = K[x_1..x_n, y_e : e generator] is the toric ideal of the exponent
 matrix whose columns are x_i -> e_i + e_{n+1} and y_(a,b) -> e_a + e_b.
+ReesRing.ends holds that encoding, the cone-graph edge of each variable
+of T; the columns, the seed and the walks all read it.
 
 The pipeline: a lattice basis read off the cone graph (one binomial
 y_e x_a0 x_b0 - y_e0 x_a x_b per generator edge e other than the first
@@ -32,6 +34,7 @@ basis via primitive even closed walks of the cone graph.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import sys
@@ -100,7 +103,7 @@ class ReesRing:
 
     Variables 0..n-1 are x_1..x_n; variable n+e is the e-th generator
     edge in ascending (a, b) order, a <= b.  The apex vertex of the cone
-    graph is n+1.
+    graph is n+1.  ``ends`` gives the cone-graph edge of every variable.
     """
 
     n: int
@@ -111,15 +114,18 @@ class ReesRing:
         # the zero ideal is allowed: no y-variables, P = 0
         if not ideal.is_zero() and ideal.degree != 2:
             raise InputError("Rees presentation implemented for ideals generated in degree 2")
-        edges = []
-        for g in ideal.gens:
-            s = g.support
-            edges.append((s[0], s[-1]) if len(s) == 2 else (s[0], s[0]))
-        return cls(ideal.n, tuple(sorted(edges)))
+        loops = ((s, s) for s in ideal.square_set())
+        return cls(ideal.n, tuple(sorted([*ideal.pair_set(), *loops])))
 
     @property
     def num_vars(self) -> int:
         return self.n + len(self.edges)
+
+    @functools.cached_property
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        """The ends of each variable's cone-graph edge, in variable order:
+        (i, n + 1) for x_i, then (a, b) for y_(a,b)."""
+        return tuple((i, self.n + 1) for i in range(1, self.n + 1)) + self.edges
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -128,7 +134,7 @@ class ReesRing:
     def columns(self) -> list[tuple[int, ...]]:
         """Exponent matrix columns, one per variable, rows 1..n+1."""
         cols = []
-        for a, b in [(i, self.n + 1) for i in range(1, self.n + 1)] + list(self.edges):
+        for a, b in self.ends:
             col = [0] * (self.n + 1)
             col[a - 1] += 1
             col[b - 1] += 1
@@ -163,12 +169,11 @@ class ReesRing:
         each group member m after the first m0 gives m0 - m.  Two distinct
         columns never coincide, so the sides of each binomial are coprime.
         Each column is the sum of two unit vectors, the ends of an edge of
-        the cone graph: (i, n + 1) for x_i and (a, b) for y_(a,b).  A group
-        is keyed by the sorted four ends of its image and keeps only the
-        index pair of its first member; exponent tuples are built only for
-        the binomials emitted.
+        the cone graph (ends).  A group is keyed by the sorted four ends of
+        its image and keeps only the index pair of its first member;
+        exponent tuples are built only for the binomials emitted.
         """
-        ends = [(i, self.n + 1) for i in range(1, self.n + 1)] + list(self.edges)
+        ends = self.ends
 
         def quadric(i: int, j: int) -> tuple[int, ...]:
             return tuple((v == i) + (v == j) for v in range(self.num_vars))
@@ -671,14 +676,10 @@ class WalkBinomial:
 def _omega_adjacency(ring: ReesRing):
     """adj[v] = sorted (neighbor, variable index) pairs; loops allowed."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, ring.n + 2)}
-    apex = ring.n + 1
-    for i in range(1, ring.n + 1):
-        adj[i].append((apex, i - 1))
-        adj[apex].append((i, i - 1))
-    for e, (a, b) in enumerate(ring.edges):
-        adj[a].append((b, ring.n + e))
+    for var, (a, b) in enumerate(ring.ends):
+        adj[a].append((b, var))
         if a != b:
-            adj[b].append((a, ring.n + e))
+            adj[b].append((a, var))
     for v in adj:
         adj[v].sort()
     return adj
@@ -724,7 +725,7 @@ def even_closed_walks(ring: ReesRing, bound: int | None = None):
     budget = _Budget(WALK_SEARCH_BUDGET, "even_closed_walks")
     adj = _omega_adjacency(ring)
     if bound is None:
-        bound = 2 * (ring.n + len(ring.edges))
+        bound = 2 * ring.num_vars
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     for start in range(1, ring.n + 2):
@@ -787,11 +788,8 @@ def walk_to_binomial(ring: ReesRing, walk) -> Binomial:
     if (len(seq) - 1) % 2:
         raise InputError("walk must have even length")
     lookup: dict[tuple[int, int], int] = {}
-    apex = ring.n + 1
-    for i in range(1, ring.n + 1):
-        lookup[(i, apex)] = lookup[(apex, i)] = i - 1
-    for e, (a, b) in enumerate(ring.edges):
-        lookup[(a, b)] = lookup[(b, a)] = ring.n + e
+    for var, (a, b) in enumerate(ring.ends):
+        lookup[(a, b)] = lookup[(b, a)] = var
     plus = [0] * ring.num_vars
     minus = [0] * ring.num_vars
     for step in range(len(seq) - 1):
@@ -818,18 +816,12 @@ def realize_walk(ring: ReesRing, b: Binomial) -> tuple[int, ...] | None:
     the total degree of b and stays tiny for reduced-basis elements,
     independent of how dense the cone graph is.
     """
-    apex = ring.n + 1
-
-    def ends(var: int) -> tuple[int, int]:
-        if var < ring.n:
-            return (var + 1, apex)
-        return ring.edges[var - ring.n]
-
     if sum(b.lead) != sum(b.tail):
         return None
+    ends = ring.ends
     total = sum(b.lead) + sum(b.tail)
     first = min(v for v, e in enumerate(b.lead) if e)
-    a0, b0 = ends(first)
+    a0, b0 = ends[first]
     starts = ((a0, b0),) if a0 == b0 else ((a0, b0), (b0, a0))
     for start, second in starts:
         remaining = [list(b.lead), list(b.tail)]
@@ -848,7 +840,7 @@ def _realize_dfs(ends, remaining, seq, start, total) -> bool:
     for var, cnt in enumerate(side):
         if not cnt:
             continue
-        a, b = ends(var)
+        a, b = ends[var]
         if v not in (a, b):
             continue
         nxt = b if a == v else a
@@ -935,7 +927,7 @@ def groebner_vs_walks(basis: ToricBasis, bound: int | None = None) -> WalkCrossC
     """
     ring = basis.ring
     if bound is None:
-        bound = 2 * (ring.n + len(ring.edges))
+        bound = 2 * ring.num_vars
     sufficient = bound >= 2 * (ring.n + 1)
     realized = []
     missing = []

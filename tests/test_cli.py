@@ -122,6 +122,19 @@ class TestAnalyze:
         assert k2["num_gens"] == 36
         assert not any(k2["linear"].values())
 
+    def test_free_vertex_check_refused_off_a_chordal_complement(self, capsys, tmp_path):
+        path = write_ideal(tmp_path, "sq.json", ["x1", "x2", "x3", "x4"],
+                           ["x1^2", "x1*x3", "x2*x4"])
+        rc, report = run_json(capsys, "analyze", path)
+        assert rc == 0
+        assert report["conditions"]["free_vertex_squares"] == {
+            "applicable": False,
+            "reason": "complement of the squarefree part is not chordal; cycle (1, 2, 3, 4)"}
+        assert report["labeling"] is None
+        rc, out, _ = run(capsys, "analyze", path)
+        assert rc == 0
+        assert "free-vertex squares: not applicable (complement not chordal)" in out.splitlines()
+
     def test_zero_ideal_short_circuits(self, capsys, tmp_path):
         path = write_ideal(tmp_path, "zero.json", ["x1", "x2"], [])
         rc, report = run_json(capsys, "analyze", path)

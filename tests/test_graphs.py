@@ -85,7 +85,8 @@ class TestIdealGraphDictionary:
         assert graph_of_ideal(MonomialIdeal(4, ())) == g(4)
 
     def test_round_trips(self):
-        for graph in (g(3, (1, 2), (2, 3)), g(1, loops=(1,)), g(4)):
+        for graph in (g(3, (1, 2), (2, 3)), g(1, loops=(1,)), g(4),
+                      g(3, (1, 2), loops=(1, 3)), g(2, loops=(1, 2))):
             assert graph_of_ideal(edge_ideal(graph)) == graph
 
     def test_degree_three_rejected(self):

@@ -138,11 +138,6 @@ class TestIdeal:
         assert ideal.degree is None
         assert not ideal.is_equigenerated()
 
-    def test_membership(self):
-        ideal = ideal_of(3, (1, 2))
-        assert ideal.contains(m(1, 1, 1))
-        assert not ideal.contains(m(1, 0, 1))
-
     def test_canonical_generator_order_is_stable(self):
         a = ideal_of(3, (2, 3), (1, 2), (1, 3))
         b = ideal_of(3, (1, 3), (2, 3), (1, 2))
@@ -205,22 +200,6 @@ class TestPower:
 
 
 class TestSquarefreePartAndPolarize:
-    def test_split_examples(self):
-        j, squares = ideal_of(2, (1, 1), (1, 2)).squarefree_part()
-        assert j == ideal_of(2, (1, 2)) and squares == (1,)
-        j, squares = ideal_of(3, (1, 2), (2, 3)).squarefree_part()
-        assert j == ideal_of(3, (1, 2), (2, 3)) and squares == ()
-        j, squares = ideal_of(2, (1, 1), (2, 2)).squarefree_part()
-        assert j.is_zero() and squares == (1, 2)
-
-    def test_split_reconstructs(self):
-        ideal = ideal_of(3, (1, 1), (1, 2), (3, 3))
-        j, squares = ideal.squarefree_part()
-        rebuilt = MonomialIdeal(
-            3, j.gens + tuple(monomial_from_support(3, (i, i)) for i in squares)
-        )
-        assert rebuilt == ideal
-
     def test_polarize_single_square(self):
         assert ideal_of(1, (1, 1)).polarize() == ideal_of(2, (1, 2))
 
@@ -246,7 +225,7 @@ class TestSquarefreePartAndPolarize:
 
     def test_degree_three_rejected(self):
         with pytest.raises(InputError):
-            terai_ideal().squarefree_part()
+            terai_ideal().polarize()
 
 
 class TestRelabel:

@@ -112,11 +112,13 @@ class TestReesRing:
         assert ring.names == ("x1", "x2", "y[1,2]")
         # images: cone edges then the generator edge
         assert ring.columns() == [(1, 0, 1), (0, 1, 1), (1, 1, 0)]
+        assert ring.ends == ((1, 3), (2, 3), (1, 2))
 
     def test_loop_shape(self):
         ring = ReesRing.from_ideal(ideal_of(1, (1, 1)))
         assert ring.names == ("x1", "y[1,1]")
         assert ring.columns() == [(1, 1), (2, 0)]
+        assert ring.ends == ((1, 2), (1, 1))
 
     def test_zero_ideal_has_no_y(self):
         ring = ReesRing.from_ideal(MonomialIdeal(2, ()))
