@@ -14,7 +14,6 @@ from .betti import (
     FieldSpec,
     check_polarization,
     checked_tables,
-    cohomology_dims,
     hochster_oracle,
     is_linear_resolution,
     koszul_betti,

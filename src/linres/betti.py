@@ -18,10 +18,13 @@ and strands whose facets share a vertex (again a cone).  A cone has no
 reduced homology over any field, so the skips leave the table exact.
 The face classes of the divisors are split once per node of the walk,
 as each coordinate is fixed, and shared by every multidegree below it;
-a leaf reads its face masks straight off its parent's classes.  Reduced
-homology is a function of the facet set alone, so each distinct facet
-set is taken once per walk and added at every multidegree that has it;
-nothing is kept from one walk to the next.
+a leaf reads one face mask per class straight off its parent's classes
+(the larger one, when a class has divisors on both sides of the last
+coordinate: the smaller is never a facet).  Reduced homology is a
+function of the facet set alone, so the walk only counts its live
+multidegrees per facet set and total degree; after the walk each
+distinct facet set is taken once and added with its counts.  Nothing is
+kept from one walk to the next.
 
 One walk serves every requested field (koszul_tables).  A strand's two
 lowest boundary ranks come from connectivity, the same over every field:
@@ -30,12 +33,15 @@ an oriented graph incidence matrix with c components has rank V - c over
 every field.  So a complex of dimension <= 1 lists no faces
 (H~_0 = c - 1, H~_1 = E - V + c), and only boundaries from faces of
 size >= 3 are built, from int bitmasks of vertices, each once and ranked
-over every field.  GF(2) reduces the columns, each one int, against an
-XOR basis.  Over Q that GF(2) rank is a lower bound, and the rank is at
-most the number of columns and at most the rows less the rank of the
-boundary below; when the GF(2) rank meets that bound it is the rank over
-Q, and fraction-free elimination runs only on the rest.  Other GF(p)
-eliminate the dense signed matrix.
+over every field.  The faces are listed top-down, from the facets: the
+faces of one size are the facets of that size, then the boundary faces
+of the size above in the order first met, and the GF(2) columns are
+read off in the same pass.  GF(2) reduces the columns, each one int,
+against an XOR basis.  Over Q that GF(2) rank is a lower bound, and the
+rank is at most the number of columns and at most the rows less the
+rank of the boundary below; when the GF(2) rank meets that bound it is
+the rank over Q, and fraction-free elimination runs only on the rest.
+Other GF(p) eliminate the dense signed matrix.
 
 The independent cross-check for squarefree ideals reads the same table
 from the other side: beta_{i,j}(I) is the sum over j-element vertex
@@ -58,6 +64,7 @@ import functools
 import itertools
 import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import Falsification, InputError, ResourceGuard
@@ -188,27 +195,17 @@ def _mask_cohomology(faces: list[int], field: FieldSpec) -> dict[int, int]:
     return out
 
 
-def cohomology_dims(faces, field: FieldSpec) -> dict[int, int]:
-    """Reduced cohomology dimensions, assembled through coboundary matrices.
-
-    Over a field these agree with the reduced homology dimensions; the
-    coboundary assembly keeps the Hochster route from sharing matrix code
-    with the boundary-matrix routes.  The faces, sets of comparable vertex
-    labels, become bitmasks in the order of the labels.
-    """
-    faces = [frozenset(f) for f in faces]
-    bit_of = {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
-    return _mask_cohomology(list({sum(map(bit_of.get, f)) for f in faces}), field)
-
-
 # ---------------------------------------------------------------------------
 # Koszul strand computation
 # ---------------------------------------------------------------------------
 
 def _maximal_faces(masks: list[int]) -> list[int]:
     """The maximal masks among *masks* (the facets of the complex they
-    generate), or [] when those share a vertex (the complex is a cone)."""
-    masks.sort(key=int.bit_count, reverse=True)
+    generate), in decreasing order, or [] when those share a vertex (the
+    complex is a cone)."""
+    # a proper superset is the larger int, so in decreasing order every
+    # mask comes after all the masks that contain it
+    masks.sort(reverse=True)
     maximal: list[int] = []
     for mask in masks:
         for big in maximal:
@@ -219,7 +216,7 @@ def _maximal_faces(masks: list[int]) -> list[int]:
     return [] if functools.reduce(operator.and_, maximal) else maximal
 
 
-def _signed_columns(faces: list[int], row_of: dict[int, int]) -> list[list[int]]:
+def _signed_columns(faces: dict[int, int], row_of: dict[int, int]) -> list[list[int]]:
     """The boundary of each face as a dense signed column over the faces one smaller.
 
     Dropping the vertex at position t among the face's set bits (from the
@@ -238,29 +235,22 @@ def _signed_columns(faces: list[int], row_of: dict[int, int]) -> list[list[int]]
     return out
 
 
-def _rank_boundary(cols: list[int], rows: list[int], s: int, fields,
-                   ranks: list[list[int]]) -> None:
+def _rank_boundary(cols: dict[int, int], rows: dict[int, int], bits: list[int],
+                   s: int, fields, ranks: list[list[int]]) -> None:
     """Set ranks[k][s] to the rank over fields[k] of the boundary matrix
     from the faces *cols* to the faces *rows*, one smaller.
 
-    ranks[k][s - 1] must already hold the rank of the boundary below.
+    Both map each face to its index.  bits[c] is column c over GF(2), the
+    set of the rows of its boundary faces.  ranks[k][s - 1] must already
+    hold the rank of the boundary below.
     """
-    row_of = {f: r for r, f in enumerate(rows)}
-    bits = []
-    for f in cols:
-        col, rest = 0, f
-        while rest:
-            low = rest & -rest
-            col |= 1 << row_of[f ^ low]
-            rest ^= low
-        bits.append(col)
     rank2 = rank_gf2(bits)
     dense = None  # the signed matrix, built on first use and shared by the fields
 
     def signed() -> list[list[int]]:
         nonlocal dense
         if dense is None:
-            dense = _signed_columns(cols, row_of)
+            dense = _signed_columns(cols, rows)
         return dense
 
     for rk, field in zip(ranks, fields):
@@ -275,7 +265,7 @@ def _rank_boundary(cols: list[int], rows: list[int], s: int, fields,
             rk[s] = rank_mod_p(signed(), field.p)
 
 
-def _strand_homology(facets: list[int], fields) -> list[dict[int, int]]:
+def _strand_homology(facets: Sequence[int], fields) -> list[dict[int, int]]:
     """Reduced homology of the complex with these facets, over each field.
 
     Facets and faces are vertex bitmasks.  For each field, in order, the
@@ -284,7 +274,10 @@ def _strand_homology(facets: list[int], fields) -> list[dict[int, int]]:
     the empty face (1, or 0 for {emptyset}) and from edges to vertices
     (V - c over c components) come from connectivity, so only boundaries
     from faces of size >= 3 are built, each ranked over every field by
-    _rank_boundary.
+    _rank_boundary.  Their faces are listed top-down: the faces of size
+    s - 1 are the facets of that size, then the boundary faces of the
+    faces of size s in the order first met, and each boundary's GF(2)
+    columns are read off in the same pass.
     """
     # components: the vertex sets of the connected components, each the
     # union of the facets that overlap one another
@@ -306,22 +299,32 @@ def _strand_homology(facets: list[int], fields) -> list[dict[int, int]]:
     if top <= 2:
         counts = [1, nv, sum(f.bit_count() == 2 for f in facets)]
     else:
-        faces = set()
+        # levels[s] maps each face of size s to its index; bits[s] holds
+        # the GF(2) columns of the boundary from level s to level s - 1
+        levels: list[dict[int, int]] = [{} for _ in range(top + 1)]
         for mask in facets:
-            sub = mask
-            while sub:
-                faces.add(sub)
-                sub = (sub - 1) & mask
-        by_size = [[] for _ in range(top + 1)]
-        for f in faces:
-            by_size[f.bit_count()].append(f)
-        counts = [1, nv] + [len(level) for level in by_size[2:]]
+            level = levels[mask.bit_count()]
+            level[mask] = len(level)
+        bits: list[list[int]] = [[] for _ in range(top + 1)]
+        for s in range(top, 2, -1):
+            rows, cols = levels[s - 1], bits[s]
+            for f in levels[s]:
+                col, rest = 0, f
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    r = rows.get(f ^ bit)
+                    if r is None:
+                        r = rows[f ^ bit] = len(rows)
+                    col |= 1 << r
+                cols.append(col)
+        counts = [1, nv] + [len(level) for level in levels[2:]]
     # ranks[k][s]: rank over fields[k] of the boundary from size-s faces
     # to size-(s - 1) faces; 0 at s = 0 and beyond the top
     low = [0, min(nv, 1), nv - len(components)]
     ranks = [low + [0] * (len(counts) - 2) for _ in fields]
     for s in range(3, len(counts)):
-        _rank_boundary(by_size[s], by_size[s - 1], s, fields, ranks)
+        _rank_boundary(levels[s], levels[s - 1], bits[s], s, fields, ranks)
     out = []
     for rk in ranks:
         dims = {}
@@ -350,15 +353,17 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     lattice, and K_a is a cone), and when the facets of K_a share a
     vertex (K_a is a cone).  The face classes are split once per walk
     node, when a coordinate is fixed, not once per multidegree; the last
-    coordinate is fixed in place, each leaf's face masks read straight
-    off its parent's classes.  The homology of each distinct facet set is
-    computed once per call and reused at every multidegree with the same
-    facets, which is exact because K_a's reduced homology depends only on
-    its facets.  Its two lowest boundary ranks are 1 and V - c over every
+    coordinate is fixed in place, and each class gives the leaf one face
+    mask, read straight off its parent's classes.  The walk counts the
+    live multidegrees per (facet set, |a|); after it, the homology of
+    each distinct facet set is computed once and added with those counts,
+    which is exact because K_a's reduced homology depends only on its
+    facets.  Its two lowest boundary ranks are 1 and V - c over every
     field, since an oriented graph incidence matrix with c components has
-    rank V - c, so only faces of size >= 3 reach a matrix.  The scan
-    aborts with ResourceGuard, before anything is scanned, when the whole
-    box holds more multidegrees than MULTIDEGREE_CAP.
+    rank V - c, so only faces of size >= 3 reach a matrix, listed
+    top-down from the facets.  The scan aborts with ResourceGuard, before
+    anything is scanned, when the whole box holds more multidegrees than
+    MULTIDEGREE_CAP.
     """
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
@@ -404,11 +409,13 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     # classes[v] lists the divisors of the prefix a[:v] as (bitset, mask)
     # pairs, one per distinct face mask {u < v : a_u > g_u}; fixing a_v = t
     # keeps the divisors in le[v][t] and moves those outside exact[v][t] to
-    # mask | {v}; for the last coordinate the split masks are the leaf's
-    # face masks.  homology maps each facet set met in this walk to its
-    # _strand_homology result.
-    tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
-    homology: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    # mask | {v}.  For the last coordinate a class gives the leaf one face
+    # mask: mask | {v} when it holds a divisor with g_v < t, else mask.  A
+    # class with both kinds of divisor has mask | {v} among the leaf's
+    # masks, which contains mask, so the facets are the same.  tally counts
+    # the live leaves per (facets, |a|); the homology of each distinct
+    # facet set is taken once, after the walk.
+    tally: dict[tuple[tuple[int, ...], int], int] = {}
     # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
     a = [-1] * n
     divisors = [(1 << len(gens_exps)) - 1] + [0] * (n - 1)
@@ -428,8 +435,8 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
             continue
         a[v] = t
         hit, bit = exact[v][t], 1 << v
-        split = []
         if v < last:
+            split = []
             for gens, mask in classes[v]:
                 gens &= d
                 same = gens & hit
@@ -441,23 +448,28 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
             classes[v + 1] = split
             v += 1
             continue
-        # the leaf a: its face masks, read off the classes of a[:n - 1]
+        # the leaf a: one face mask per class of a[:n - 1]
+        below = d & ~hit
+        masks = []
         for gens, mask in classes[v]:
-            gens &= d
-            same = gens & hit
-            if same:
-                split.append(mask)
-            if same != gens:
-                split.append(mask | bit)
-        facets = _maximal_faces(split)
+            if gens & below:
+                masks.append(mask | bit)
+            elif gens & d:
+                masks.append(mask)
+        facets = _maximal_faces(masks)
         if facets:
-            key = tuple(sorted(facets))
-            if key not in homology:
-                homology[key] = _strand_homology(facets, fields)
-            j = sum(a)
-            for entries, dims in zip(tables, homology[key]):
-                for i, h in dims.items():
-                    entries[(i, j)] = entries.get((i, j), 0) + h
+            # _maximal_faces lists the facets in decreasing order, so the
+            # tuple names the facet set
+            key = (tuple(facets), sum(a))
+            tally[key] = tally.get(key, 0) + 1
+    tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
+    homology: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    for (facets, j), count in tally.items():
+        if facets not in homology:
+            homology[facets] = _strand_homology(facets, fields)
+        for entries, dims in zip(tables, homology[facets]):
+            for i, h in dims.items():
+                entries[(i, j)] = entries.get((i, j), 0) + h * count
     return {
         f.label: BettiTable(n=n, field=f, entries=entries, gen_degree=ideal.degree)
         for f, entries in zip(fields, tables)

@@ -6,7 +6,7 @@ clever paths, so it can serve as cross-check material.
 
 from itertools import combinations, combinations_with_replacement, product
 
-from linres.betti import BettiTable
+from linres.betti import BettiTable, _mask_cohomology
 from linres.graphs import Graph
 from linres.monomials import Monomial, MonomialIdeal, ideal_from_strings
 from linres.rees import Binomial
@@ -53,6 +53,18 @@ def square_straddle_ideal() -> MonomialIdeal:
     certified pipelines; tests use it as the canonical regression input.
     """
     return ideal_of(3, (1, 2), (1, 3), (2, 2))
+
+
+def co_path(n):
+    """Edge ideal of the complement of the path 1-2-...-n."""
+    return ideal_of(n, *[(a, b) for a, b in combinations(range(1, n + 1), 2)
+                         if b - a > 1])
+
+
+def co_cycle(n):
+    """Edge ideal of the complement of the cycle 1-2-...-n-1."""
+    return ideal_of(n, *[(a, b) for a, b in combinations(range(1, n + 1), 2)
+                         if 1 < b - a < n - 1])
 
 
 def all_edge_subsets(n: int):
@@ -209,6 +221,19 @@ def homology_dims(faces, field) -> dict[int, int]:
         if h:
             out[k] = h
     return out
+
+
+def cohomology_dims(faces, field) -> dict[int, int]:
+    """Reduced cohomology dimensions, assembled through coboundary matrices.
+
+    Over a field these agree with the reduced homology dimensions; the
+    coboundary assembly (the Hochster oracle's) shares no matrix code with
+    homology_dims.  The faces, sets of comparable vertex labels, become
+    bitmasks in the order of the labels.
+    """
+    faces = [frozenset(f) for f in faces]
+    bit_of = {v: 1 << i for i, v in enumerate(sorted(set().union(*faces)))}
+    return _mask_cohomology(list({sum(map(bit_of.get, f)) for f in faces}), field)
 
 
 def brute_koszul_betti(ideal: MonomialIdeal, field) -> BettiTable:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -11,6 +12,9 @@ from corpus import (
     all_graphs,
     brute_koszul_betti,
     brute_strand_facets,
+    co_cycle,
+    co_path,
+    cohomology_dims,
     homology_dims,
     ideal_of,
     square_corpus,
@@ -25,7 +29,6 @@ from linres.betti import (
     BettiTable,
     FieldSpec,
     check_polarization,
-    cohomology_dims,
     hochster_oracle,
     is_linear_resolution,
     koszul_betti,
@@ -242,24 +245,62 @@ class TestKoszulAgainstBruteForce:
         return calls
 
     def test_homology_only_on_non_cone_strands(self, monkeypatch):
-        power = terai_ideal().power(2)
         calls = self.count_homology(monkeypatch)
-        koszul_tables(power, (QQ, GF2))
+        for power in (terai_ideal().power(2), sturmfels_ideal().power(3),
+                      co_cycle(6).power(2)):
+            calls.clear()
+            koszul_tables(power, (QQ, GF2))
 
-        box = [range(max(g.exps[v] for g in power.gens) + 1) for v in range(power.n)]
+            box = [range(max(g.exps[v] for g in power.gens) + 1) for v in range(power.n)]
+            live = []
+            for a in itertools.product(*box):
+                facets = brute_strand_facets(power, a)
+                maximal = [f for f in facets if not any(f < other for other in facets)]
+                if maximal and not frozenset.intersection(*maximal):
+                    live.append(frozenset(maximal))
+            assert 0 < len(live) < sum(
+                1 for a in itertools.product(*box) if brute_strand_facets(power, a)
+            )
+            # the same complex recurs at other multidegrees, and is taken once
+            assert len(set(live)) < len(live)
+            assert len(calls) == len(set(calls)) == len(set(live))
+            assert set(calls) == set(live)
+
+    def test_work_counts_of_the_powers_walks(self, monkeypatch):
+        # Sturmfels, Terai, co-P6 and co-C6 at k <= 3, as powers_linear_report
+        # walks them: the leaves that are not cones, and the distinct facet
+        # sets among them, each taken once.  Both counts are the same under
+        # any relabeling of the variables; the number of leaves is not.
+        original = betti_mod._maximal_faces
         live = []
-        for a in itertools.product(*box):
-            facets = brute_strand_facets(power, a)
-            maximal = [f for f in facets if not any(f < other for other in facets)]
-            if maximal and not frozenset.intersection(*maximal):
-                live.append(frozenset(maximal))
-        assert 0 < len(live) < sum(
-            1 for a in itertools.product(*box) if brute_strand_facets(power, a)
-        )
-        # the same complex recurs at other multidegrees, and is taken once
-        assert len(set(live)) < len(live)
-        assert len(calls) == len(set(calls)) == len(set(live))
-        assert set(calls) == set(live)
+
+        def counting(masks):
+            facets = original(masks)
+            live.append(bool(facets))
+            return facets
+
+        monkeypatch.setattr(betti_mod, "_maximal_faces", counting)
+        calls = self.count_homology(monkeypatch)
+        for ideal in (sturmfels_ideal(), terai_ideal(), co_path(6), co_cycle(6)):
+            for k in (1, 2, 3):
+                koszul_tables(ideal.power(k), (QQ, GF2))
+        assert sum(live) == 5378
+        assert len(calls) == 1686
+
+    def test_table_digest(self):
+        # pinned from the walk that read both face masks of a class at the
+        # leaf and added each strand as it met it; a change to any table
+        # changes the digest
+        ideals = [*squarefree_corpus(5), *square_corpus(4),
+                  *(build().power(k) for build in (sturmfels_ideal, terai_ideal)
+                    for k in (1, 2, 3))]
+        assert len(ideals) == 2123
+        digest = hashlib.sha256()
+        for ideal in ideals:
+            for label, table in koszul_tables(ideal, (QQ, GF2, GF3)).items():
+                digest.update(f"{label} {table.items_sorted()}\n".encode())
+        assert digest.hexdigest() == (
+            "593d29457728c55bd4f3c4463d73fb85b9cdfd11864761f7c7f2d86026625d8e")
 
     def test_homology_dict_lives_for_one_walk(self, monkeypatch):
         calls = self.count_homology(monkeypatch)
@@ -323,6 +364,15 @@ class TestStrandHomology:
         # a 2-sphere and an edge apart from it
         ([0b11110 ^ (1 << v) for v in range(1, 5)] + [0b1100000], {1: 1, 3: 1}),
         ([0b111111 ^ (1 << v) for v in range(6)], {5: 1}),  # a 4-sphere
+        # facets below the top that lie in no larger face, so they seed
+        # the faces one smaller than a larger face's boundary:
+        ([0b111, 0b1000], {1: 1}),  # a solid triangle and a point apart
+        ([0b111, 0b11000], {1: 1}),  # a solid triangle and an edge apart
+        # a 2-sphere and a cycle of edges through one of its vertices
+        ([0b1111 ^ (1 << v) for v in range(4)] + [0b11000, 0b110000, 0b101000], {2: 1, 3: 1}),
+        # a solid tetrahedron and three triangles that close up one of
+        # its faces into a 2-sphere
+        ([0b1111, 0b10110, 0b11100, 0b11010], {3: 1}),
     ])
     def test_named_complexes(self, facets, dims):
         assert betti_mod._strand_homology(facets, self.FIELDS) == [dims] * 3
@@ -362,11 +412,11 @@ class TestStrandHomology:
         original = betti_mod._rank_boundary
         sizes = []
 
-        def guarded(cols, rows, s, fields, ranks):
+        def guarded(cols, rows, bits, s, fields, ranks):
             if s < 3 or any(f.bit_count() < 3 for f in cols):
                 raise AssertionError(f"boundary from faces of size {s} built")
             sizes.append(s)
-            return original(cols, rows, s, fields, ranks)
+            return original(cols, rows, bits, s, fields, ranks)
 
         monkeypatch.setattr(betti_mod, "_rank_boundary", guarded)
         tables = koszul_tables(terai_ideal().power(2), (QQ, GF2))

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import (
+    co_cycle,
+    co_path,
     degree_two_seed_reference,
     first_divisor,
     ideal_of,
@@ -44,18 +46,6 @@ from linres.rees import (
 C4_IDEAL = ideal_of(4, (1, 2), (2, 3), (3, 4), (1, 4))
 # the complement of the 5-cycle 1-2-3-4-5-1
 CO_C5 = ideal_of(5, (1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
-
-
-def co_path(n):
-    """Edge ideal of the complement of the path 1-2-...-n."""
-    return ideal_of(n, *[(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
-                         if b - a > 1])
-
-
-def co_cycle(n):
-    """Edge ideal of the complement of the cycle 1-2-...-n-1."""
-    return ideal_of(n, *[(a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
-                         if 1 < b - a < n - 1])
 
 
 def dirac_relabeled(ideal):
