@@ -7,7 +7,7 @@ for each ring variable.  The presentation ideal in
 T = K[x_1..x_n, y_e : e generator] is the toric ideal of the exponent
 matrix whose columns are x_i -> e_i + e_{n+1} and y_(a,b) -> e_a + e_b.
 ReesRing.ends holds that encoding, the cone-graph edge of each variable
-of T; the columns, the seed and the walks all read it.
+of T; the columns, the seed, the certificates and the walks read it.
 
 The pipeline: a lattice basis read off the cone graph (one binomial
 y_e x_a0 x_b0 - y_e0 x_a x_b per generator edge e other than the first
@@ -24,10 +24,13 @@ public interface.  Inside the Rees stage each monomial is an int with
 one byte per variable and a guard bit on top of every byte (_Packing):
 a divisibility test is one subtraction and a mask, and a reduction step
 is one subtraction and one addition.  The lattice basis and the seed
-are packed once; each saturation divides out the v-content on v's byte,
-the move to the next term order permutes the bytes, and only the final
-edge-lex basis is unpacked.  Reducers are found through lead buckets
-(_LeadIndex).  The certificates and the walks work on the tuples.
+are built packed, each monomial a sum of the packed variables
+(_Packing.units); each saturation divides out the v-content on v's
+byte, the move to the next term order permutes the bytes, and only the
+final edge-lex basis is unpacked.  Reducers are found through lead
+buckets (_LeadIndex).  The input's homogeneity and the coprime sides of
+the final basis are checked on the ints; vanishing under the monomial
+map (through ends), the Hilbert counts and the walks work on the tuples.
 An independent cross-check lives here as well: the combinatorial Graver
 basis via primitive even closed walks of the cone graph.
 """
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -65,14 +68,6 @@ class Binomial:
 def _norm_pair(u: tuple[int, ...], v: tuple[int, ...]):
     """Orientation-free form of a binomial, for set membership up to sign."""
     return (u, v) if u >= v else (v, u)
-
-
-def binomial_from_vector(w) -> Binomial | None:
-    plus = tuple(max(x, 0) for x in w)
-    minus = tuple(-min(x, 0) for x in w)
-    if plus == minus:
-        return None
-    return Binomial(plus, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +136,9 @@ class ReesRing:
             cols.append(tuple(col))
         return cols
 
-    def lattice_basis(self) -> list[Binomial]:
-        """A basis of the kernel lattice of the exponent matrix.
+    def lattice_basis(self, unit) -> list[tuple[int, int]]:
+        """A basis of the kernel lattice of the exponent matrix, as packed
+        (plus, minus) pairs, unit[v] being the packed variable v.
 
         With e0 = (a0, b0) the first generator edge, one binomial
         y_e x_a0 x_b0 - y_e0 x_a x_b for every other edge e = (a, b), common
@@ -156,34 +152,34 @@ class ReesRing:
         a0, b0 = self.edges[0]
         out = []
         for y, (a, b) in enumerate(self.edges[1:], start=self.n + 1):
-            w = [0] * self.num_vars
-            for v, sign in ((y, 1), (a0 - 1, 1), (b0 - 1, 1), (self.n, -1), (a - 1, -1), (b - 1, -1)):
-                w[v] += sign
-            out.append(binomial_from_vector(w))
+            plus, minus = [y, a0 - 1, b0 - 1], [self.n, a - 1, b - 1]
+            for v in (a - 1, b - 1):
+                if v in plus:
+                    plus.remove(v)
+                    minus.remove(v)
+            out.append((sum(unit[v] for v in plus), sum(unit[v] for v in minus)))
         return out
 
-    def degree_two_seed(self) -> list[Binomial]:
-        """The degree-2 part of the toric ideal, as binomials m0 - m.
+    def degree_two_seed(self, unit) -> list[tuple[int, int]]:
+        """The degree-2 part of the toric ideal, as packed pairs (m0, m),
+        unit[v] being the packed variable v.
 
         Degree-2 monomials of T are grouped by their image (column sum);
         each group member m after the first m0 gives m0 - m.  Two distinct
-        columns never coincide, so the sides of each binomial are coprime.
+        columns never coincide, so the sides of each pair are coprime.
         Each column is the sum of two unit vectors, the ends of an edge of
-        the cone graph (ends).  A group is keyed by the sorted four ends of
-        its image and keeps only the index pair of its first member;
-        exponent tuples are built only for the binomials emitted.
+        the cone graph (ends); the image of x_i x_j is keyed by the int with
+        3 bits per vertex that sums the ends of both, no count exceeding 4.
         """
-        ends = self.ends
-
-        def quadric(i: int, j: int) -> tuple[int, ...]:
-            return tuple((v == i) + (v == j) for v in range(self.num_vars))
-
-        groups: dict[tuple[int, ...], tuple[int, int]] = {}
+        image = [(1 << 3 * a) + (1 << 3 * b) for a, b in self.ends]
+        groups: dict[int, int] = {}
         out = []
-        for pair in itertools.combinations_with_replacement(range(self.num_vars), 2):
-            first = groups.setdefault(tuple(sorted(ends[pair[0]] + ends[pair[1]])), pair)
-            if first != pair:
-                out.append(Binomial(quadric(*first), quadric(*pair)))
+        for i, (ui, ci) in enumerate(zip(unit, image)):
+            for uj, cj in zip(unit[i:], image[i:]):
+                m = ui + uj
+                m0 = groups.setdefault(ci + cj, m)
+                if m0 != m:
+                    out.append((m0, m))
         return out
 
     def smallest_factorizations(self):
@@ -239,6 +235,14 @@ def format_binomial(b: Binomial, names) -> str:
 _LIMIT = 0x80  # exponents stay below the guard bit of their byte
 
 
+def _picker(idx):
+    """A function from a sequence to the tuple of its items at *idx*:
+    operator.itemgetter, wrapped where idx has one index, for which
+    itemgetter returns the bare item."""
+    pick = operator.itemgetter(*idx)
+    return pick if len(idx) > 1 else lambda seq: (pick(seq),)
+
+
 class _Packing:
     """The monomials under one term order as ints, one byte per variable.
 
@@ -261,6 +265,13 @@ class _Packing:
       key is (degree << bits) - packed, since the reverse-lex tie-break
       favours the smaller exponent of the cheapest variable, which sits
       in the top byte.
+
+    above(u, t) is the comparison u > t within the pairs of a run.  When
+    every pair is homogeneous, so is every binomial of the run, and a
+    graded order only compares monomials of equal degree: there the
+    smaller int is the larger monomial.  Saturation and moved() keep
+    pairs homogeneous, so only pairs() may meet other input; it makes
+    this packing compare full keys when a generator is not homogeneous.
     """
 
     def __init__(self, order: TermOrder, num_vars: int):
@@ -274,33 +285,26 @@ class _Packing:
         self.graded = order.graded
         self.guard = int.from_bytes(b"\x80" * num_vars, "big")
         self.ones = int.from_bytes(b"\x01" * num_vars, "big")
+        self.above = int.__lt__ if order.graded else int.__gt__
+        self._pack, self._unpack = _picker(self.seq), _picker(self.slot)
 
     def pack(self, exps) -> int:
         if max(exps, default=0) >= _LIMIT:
             raise ResourceGuard(f"buchberger: exponent past {_LIMIT - 1} in {tuple(exps)}")
-        return int.from_bytes(bytes(map(exps.__getitem__, self.seq)), "big")
+        return int.from_bytes(bytes(self._pack(exps)), "big")
 
     def unpack(self, m: int) -> tuple[int, ...]:
-        return tuple(map(m.to_bytes(self.size, "big").__getitem__, self.slot))
+        return self._unpack(m.to_bytes(self.size, "big"))
+
+    def units(self) -> list[int]:
+        """The packed variable x_v, for each variable v."""
+        return [1 << 8 * (self.size - 1 - k) for k in self.slot]
 
     def degree(self, m: int) -> int:
         return sum(m.to_bytes(self.size, "big"))
 
     def key(self, m: int) -> int:
         return (self.degree(m) << self.bits) - m if self.graded else m
-
-    def above(self, pairs):
-        """The comparison u > t for the monomials of a run on *pairs*.
-
-        When every pair is homogeneous, so is every binomial of the run,
-        and a graded order only compares monomials of equal degree: there
-        the smaller int is the larger monomial.
-        """
-        if not self.graded:
-            return int.__gt__
-        if all(self.degree(u) == self.degree(t) for u, t in pairs):
-            return int.__lt__
-        return lambda u, t: self.key(u) > self.key(t)
 
     def lcm(self, a: int, b: int) -> int:
         guard = self.guard
@@ -324,10 +328,11 @@ class _Packing:
         """The packed pairs oriented and deduplicated, zeros dropped."""
         out = []
         seen = set()
+        above = self.above
         for u, t in pairs:
             if u == t:
                 continue
-            if self.key(u) < self.key(t):
+            if above(t, u):
                 u, t = t, u
             if (u, t) not in seen:
                 seen.add((u, t))
@@ -335,16 +340,18 @@ class _Packing:
         return out
 
     def pairs(self, gens) -> list[tuple[int, int]]:
-        return self.oriented((self.pack(f.lead), self.pack(f.tail)) for f in gens)
+        if self.graded and any(sum(f.lead) != sum(f.tail) for f in gens):
+            self.above = lambda u, t: self.key(u) > self.key(t)
+        return self.oriented([(self.pack(f.lead), self.pack(f.tail)) for f in gens])
 
     def moved(self, pairs, src: "_Packing") -> list[tuple[int, int]]:
         """Pairs packed by *src*, packed and oriented here."""
-        perm, size = [src.slot[v] for v in self.seq], self.size
+        pick, size = _picker([src.slot[v] for v in self.seq]), self.size
 
         def move(m: int) -> int:
-            return int.from_bytes(bytes(map(m.to_bytes(size, "big").__getitem__, perm)), "big")
+            return int.from_bytes(bytes(pick(m.to_bytes(size, "big"))), "big")
 
-        return self.oriented((move(u), move(t)) for u, t in pairs)
+        return self.oriented([(move(u), move(t)) for u, t in pairs])
 
     def binomials(self, leads, tails) -> list[Binomial]:
         return [Binomial(self.unpack(u), self.unpack(t)) for u, t in zip(leads, tails)]
@@ -421,7 +428,7 @@ def _buchberger(pairs, pk: _Packing) -> tuple[list[int], list[int]]:
     budget = _Budget(GROEBNER_BUDGET, "buchberger")
     index = _LeadIndex(pk)
     leads, tails, supports = index.leads, [], []
-    above, divisor, check = pk.above(pairs), index.divisor, pk.check
+    above, divisor, check = pk.above, index.divisor, pk.check
     heap: list = []
 
     def add(u, t):
@@ -554,62 +561,78 @@ class ToricBasis:
             for g in self.elements]}
 
 
+def _input_pairs(ring: ReesRing, pk: _Packing) -> tuple[list[tuple[int, int]], int]:
+    """The lattice basis and then the degree-2 seed, packed by pk, checked
+    homogeneous, oriented and deduplicated; and the number of seed pairs."""
+    unit = pk.units()
+    seed = ring.degree_two_seed(unit)
+    gens = ring.lattice_basis(unit) + seed
+    for u, t in gens:
+        if pk.degree(u) != pk.degree(t):
+            raise Falsification(f"lattice binomial is not homogeneous: "
+                                f"{Binomial(pk.unpack(u), pk.unpack(t))}")
+    return pk.oriented(gens), len(seed)
+
+
 def _check_pi_membership(ring: ReesRing, elements) -> None:
-    cols = ring.columns()
+    """Raise unless every element vanishes under the monomial map: each
+    exponent difference goes to both ends of its variable's edge."""
+    ends = ring.ends
     for g in elements:
-        image = [0] * (ring.n + 1)
-        for col, w in zip(cols, g.vector()):
-            if w:
-                image = [x + w * c for x, c in zip(image, col)]
+        image = [0] * (ring.n + 2)
+        for (a, b), x, y in zip(ends, g.lead, g.tail):
+            if x != y:
+                image[a] += x - y
+                image[b] += x - y
         if any(image):
             raise Falsification(f"basis element does not vanish under the monomial map: {g}")
 
 
-def _hilbert_agreement(ring: ReesRing, elements, seed) -> None:
+def _hilbert_agreement(ring: ReesRing, elements, relations: int) -> None:
     """Standard monomials of the initial ideal vs distinct semigroup values
     in degrees 1 and 2, counted without enumerating the monomials of T.
 
     The two counts agree in degree d exactly when the computed ideal
     fills the full toric ideal in that degree; a mismatch in either
     direction is an internal failure, not bad input.  The N columns are
-    distinct, so degree 1 has N values, and the counts agree exactly
-    when no lead has degree < 2.  Then a degree-2 monomial is standard
-    unless it is a lead, and *seed* holds one binomial per degree-2
+    distinct (no two variables share the ends of their edge), so degree 1
+    has N values, and the counts agree exactly when no lead has degree
+    < 2.  Then a degree-2 monomial is standard unless it is a lead, and
+    the degree-2 seed holds *relations* binomials, one per degree-2
     monomial beyond the first of its image, so degree 2 agrees exactly
-    when the distinct degree-2 leads number len(seed).
+    when the distinct degree-2 leads number *relations*.
     """
-    cols = ring.columns()
-    if len(set(cols)) != len(cols):
+    size = ring.num_vars
+    if len(set(ring.ends)) != size:
         raise Falsification("two variables of T share a column of the monomial map")
     low = {g.lead for g in elements if sum(g.lead) < 2}
     if low:
-        std = 0 if (0,) * len(cols) in low else len(cols) - len(low)
+        std = 0 if (0,) * size in low else size - len(low)
         raise Falsification(f"Hilbert mismatch in degree 1: {std} standard monomials "
-                            f"vs {len(cols)} semigroup values")
-    total = len(cols) * (len(cols) + 1) // 2
+                            f"vs {size} semigroup values")
+    total = size * (size + 1) // 2
     leads = len({g.lead for g in elements if sum(g.lead) == 2})
-    if leads != len(seed):
+    if leads != relations:
         raise Falsification(f"Hilbert mismatch in degree 2: {total - leads} standard monomials "
-                            f"vs {total - len(seed)} semigroup values")
+                            f"vs {total - relations} semigroup values")
 
 
 def toric_ideal_basis(ideal: MonomialIdeal) -> ToricBasis:
     """Reduced Groebner basis of the Rees presentation ideal of I.
 
     The lattice basis of the cone graph (ReesRing.lattice_basis) and the
-    degree-2 relations (ReesRing.degree_two_seed), saturated by the two
-    variables of the first generator edge, then the reduced basis under
-    the edge-lex order.  The result is certified two ways before being
-    returned: every element must vanish under the monomial map, and
-    Hilbert function counts must agree in degrees 1 and 2.  Failures
-    there raise Falsification.
+    degree-2 relations (ReesRing.degree_two_seed), packed from the start,
+    saturated by the two variables of the first generator edge, then the
+    reduced basis under the edge-lex order; only that basis is unpacked.
+    The result is certified before being returned: the input must be
+    homogeneous, every element must have coprime sides and vanish under
+    the monomial map, and Hilbert function counts must agree in degrees 1
+    and 2.  Failures there raise Falsification.
     """
     ring = ReesRing.from_ideal(ideal)
-    seed = ring.degree_two_seed()
-    gens = ring.lattice_basis() + seed
-    for g in gens:
-        if sum(g.lead) != sum(g.tail):
-            raise Falsification(f"lattice binomial is not homogeneous: {g}")
+    order = ring.edge_lex()
+    final = pk = _Packing(order, ring.num_vars)
+    pairs, relations = _input_pairs(ring, pk)
     # Let J be the ideal of the lattice basis, I_A the toric ideal and
     # u = x_a0 x_b0 for the first edge e0 = (a0, b0); then J : u^inf = I_A.
     # J : u^inf lies in I_A, because J does, I_A is prime and u is not in it.
@@ -625,19 +648,18 @@ def toric_ideal_basis(ideal: MonomialIdeal) -> ToricBasis:
     # Buchberger rediscovering the degree-2 relations through many
     # S-pairs; the Rees stage on the relabeled complement of P8 ran about
     # 30 times faster with it.
-    order = ring.edge_lex()
-    final = pk = _Packing(order, ring.num_vars)
-    pairs = pk.pairs(gens)
-    if gens:
+    if pairs:
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):
             pk, pairs = _saturate_variable(pk, pairs, ring, v)
-    reduced = tuple(final.binomials(*_reduced(final.moved(pairs, pk), final)))
-    for g in reduced:
-        if not g.coprime_sides():
-            raise Falsification(f"reduced basis element of a saturated ideal has a common factor: {g}")
+    leads, tails = _reduced(final.moved(pairs, pk), final)
+    for u, t in zip(leads, tails):
+        if final.support(u) & final.support(t):
+            raise Falsification(f"reduced basis element of a saturated ideal has a common factor: "
+                                f"{Binomial(final.unpack(u), final.unpack(t))}")
+    reduced = tuple(final.binomials(leads, tails))
     _check_pi_membership(ring, reduced)
-    _hilbert_agreement(ring, reduced, seed)
+    _hilbert_agreement(ring, reduced, relations)
     return ToricBasis(ring, order, reduced)
 
 

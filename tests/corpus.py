@@ -257,10 +257,27 @@ def brute_koszul_betti(ideal: MonomialIdeal, field) -> BettiTable:
     return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
 
 
+def lattice_basis_reference(ring):
+    """ReesRing.lattice_basis as exponent tuples: with e0 = (a0, b0) the
+    first generator edge, the vector of y_e x_a0 x_b0 - y_e0 x_a x_b for
+    every other edge e = (a, b), split into its positive and negative
+    parts, which cancels the common factors."""
+    if not ring.edges:
+        return []
+    a0, b0 = ring.edges[0]
+    out = []
+    for y, (a, b) in enumerate(ring.edges[1:], start=ring.n + 1):
+        w = [0] * ring.num_vars
+        for v, sign in ((y, 1), (a0 - 1, 1), (b0 - 1, 1), (ring.n, -1), (a - 1, -1), (b - 1, -1)):
+            w[v] += sign
+        out.append(Binomial(tuple(max(x, 0) for x in w), tuple(-min(x, 0) for x in w)))
+    return out
+
+
 def degree_two_seed_reference(ring):
-    """ReesRing.degree_two_seed from its definition: every degree-2
-    monomial of T as an exponent tuple, grouped by its column sum, and
-    m0 - m for each member m after the first m0 of its group."""
+    """ReesRing.degree_two_seed as exponent tuples, from its definition:
+    every degree-2 monomial of T, grouped by its column sum, and m0 - m
+    for each member m after the first m0 of its group."""
     cols = ring.columns()
     groups: dict = {}
     out = []

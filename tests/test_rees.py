@@ -14,6 +14,7 @@ from corpus import (
     degree_two_seed_reference,
     first_divisor,
     ideal_of,
+    lattice_basis_reference,
     m_squared,
     square_corpus,
     square_straddle_ideal,
@@ -93,6 +94,13 @@ def named_binomial(ring, plus_names, minus_names):
     for nm in minus_names:
         minus[ring.names.index(nm)] += 1
     return Binomial(tuple(plus), tuple(minus))
+
+
+def edge_lex_pairs(ring, build):
+    """The packed pairs build(ring, unit) gives under edge-lex, unpacked;
+    build is ReesRing.lattice_basis or ReesRing.degree_two_seed."""
+    pk = rees_mod._Packing(ring.edge_lex(), ring.num_vars)
+    return [Binomial(pk.unpack(u), pk.unpack(t)) for u, t in build(ring, pk.units())]
 
 
 class TestReesRing:
@@ -198,7 +206,7 @@ class TestLatticeBasis:
     def test_one_binomial_per_other_edge_in_the_kernel(self, ideal):
         ring = ReesRing.from_ideal(ideal)
         cols = ring.columns()
-        basis = ring.lattice_basis()
+        basis = edge_lex_pairs(ring, ReesRing.lattice_basis)
         assert len(basis) == len(ring.edges) - 1
         for g in basis:
             image = [sum(w * col[r] for w, col in zip(g.vector(), cols))
@@ -210,13 +218,13 @@ class TestLatticeBasis:
         ring = ReesRing.from_ideal(m_squared())
         assert ring.edges[0] == (1, 1)
         # y[1,2] x1^2 - y[1,1] x1 x2 cancels to y[1,2] x1 - y[1,1] x2
-        assert orientation_free(ring.lattice_basis()[0]) == orientation_free(
+        assert orientation_free(edge_lex_pairs(ring, ReesRing.lattice_basis)[0]) == orientation_free(
             named_binomial(ring, ("y[1,2]", "x1"), ("y[1,1]", "x2"))
         )
 
     def test_at_most_one_edge_gives_none(self):
-        assert ReesRing.from_ideal(ideal_of(2, (1, 2))).lattice_basis() == []
-        assert ReesRing.from_ideal(MonomialIdeal(3, ())).lattice_basis() == []
+        for ideal in (ideal_of(2, (1, 2)), MonomialIdeal(3, ())):
+            assert edge_lex_pairs(ReesRing.from_ideal(ideal), ReesRing.lattice_basis) == []
 
 
 class TestSaturationCount:
@@ -244,7 +252,7 @@ class TestDegreeTwoSeed:
         # the lattice basis alone, saturated by x_b0 and then x_a0
         ring = ReesRing.from_ideal(ideal)
         pk = rees_mod._Packing(ring.edge_lex(), ring.num_vars)
-        pairs = pk.pairs(ring.lattice_basis())
+        pairs = pk.oriented(ring.lattice_basis(pk.units()))
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):
             pk, pairs = rees_mod._saturate_variable(pk, pairs, ring, v)
@@ -275,15 +283,16 @@ class TestDegreeTwoSeed:
                   *(build(n) for n in range(5, 10) for build in (co_path, co_cycle))]
         for ideal in ideals:
             ring = ReesRing.from_ideal(ideal)
-            assert ring.degree_two_seed() == degree_two_seed_reference(ring), ideal
+            assert edge_lex_pairs(ring, ReesRing.degree_two_seed) == degree_two_seed_reference(ring), ideal
 
     def test_wide_ring_without_relations_in_small_memory(self):
         # x1x2, x3x4 on 200 variables: 20,503 degree-2 monomials, all with
         # distinct images; tuples of all of them took 65.5 MiB
         ring = ReesRing.from_ideal(ideal_of(200, (1, 2), (3, 4)))
+        pk = rees_mod._Packing(ring.edge_lex(), ring.num_vars)
         tracemalloc.start()
         try:
-            seed = ring.degree_two_seed()
+            seed = ring.degree_two_seed(pk.units())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -304,7 +313,7 @@ class TestDegreeTwoSeed:
             return tuple(sorted(v for var, e in enumerate(exps) for _ in range(e)
                                 for v in ends[var]))
 
-        seed = ring.degree_two_seed()
+        seed = edge_lex_pairs(ring, ReesRing.degree_two_seed)
         for g in seed:
             assert sum(g.lead) == sum(g.tail) == 2
             assert g.lead != g.tail
@@ -340,7 +349,7 @@ class TestHilbertCertificate:
     @staticmethod
     def check(basis, elements):
         ring = basis.ring
-        rees_mod._hilbert_agreement(ring, elements, ring.degree_two_seed())
+        rees_mod._hilbert_agreement(ring, elements, len(edge_lex_pairs(ring, ReesRing.degree_two_seed)))
 
     @staticmethod
     def corrupted(basis, rng):
@@ -465,6 +474,85 @@ def test_steps_of_every_run(monkeypatch, ideal, spent):
     assert [(b.what, b.spent) for b in made] == list(zip(runs, spent))
 
 
+def test_basis_digest():
+    # the reduced bases of the 2,117 corpus ideals, pinned byte for byte
+    digest = hashlib.sha256()
+    for ideal in [*squarefree_corpus(5), *square_corpus(4)]:
+        digest.update(repr([(g.lead, g.tail) for g in toric_ideal_basis(ideal).elements]).encode())
+    assert digest.hexdigest() == "a6e3e1f6088376d350df0e9dcbf65b9d2f1d41ae64668a07f531e2052aeeaf26"
+
+
+def test_packed_input_equals_the_tuple_references():
+    # the pairs the first run starts from, in order, against the lattice
+    # and seed references packed and oriented by _Packing.pairs
+    corpus = [*squarefree_corpus(5), *square_corpus(4)]
+    ideals = random.Random(2026).sample(corpus, 300) + [
+        build(n) for n in (5, 6, 7)
+        for build in (co_path, co_cycle, lambda n: dirac_relabeled(co_path(n)))]
+    for ideal in ideals:
+        ring = ReesRing.from_ideal(ideal)
+        seed = degree_two_seed_reference(ring)
+        pk = rees_mod._Packing(ring.edge_lex(), ring.num_vars)
+        expected = pk.pairs(lattice_basis_reference(ring) + seed), len(seed)
+        got = rees_mod._input_pairs(ring, rees_mod._Packing(ring.edge_lex(), ring.num_vars))
+        assert got == expected, ideal
+
+
+class TestPackedCertificates:
+    """Each check toric_ideal_basis makes on packed pairs fires with its
+    message, the binomial shown as exponent tuples."""
+
+    @staticmethod
+    def final_run_adds(monkeypatch, extra):
+        """Make the final (edge-lex) run return one more element, the
+        binomial extra(basis) packed by that run."""
+        right = rees_mod._reduced
+
+        def final_plus(pairs, pk):
+            leads, tails = right(pairs, pk)
+            if pk.graded:
+                return leads, tails
+            g = extra(pk.binomials(leads, tails))
+            return leads + [pk.pack(g.lead)], tails + [pk.pack(g.tail)]
+
+        monkeypatch.setattr(rees_mod, "_reduced", final_plus)
+
+    def test_inhomogeneous_input_pair(self, monkeypatch):
+        right = ReesRing.lattice_basis
+
+        def with_extra(ring, unit):
+            return right(ring, unit) + [(unit[ring.n], unit[0] + unit[1])]
+
+        monkeypatch.setattr(ReesRing, "lattice_basis", with_extra)
+        ring = ReesRing.from_ideal(C4_IDEAL)
+        bad = named_binomial(ring, ("y[1,2]",), ("x1", "x2"))
+        with pytest.raises(Falsification) as exc:
+            toric_ideal_basis(C4_IDEAL)
+        assert str(exc.value) == f"lattice binomial is not homogeneous: {bad}"
+
+    def test_common_factor(self, monkeypatch):
+        ring = ReesRing.from_ideal(C4_IDEAL)
+        x1 = unit(ring, "x1")
+
+        def times_x1(g):
+            return Binomial(*(tuple(map(operator.add, side, x1)) for side in (g.lead, g.tail)))
+
+        bad = times_x1(toric_ideal_basis(C4_IDEAL).elements[0])
+        self.final_run_adds(monkeypatch, lambda basis: times_x1(basis[0]))
+        with pytest.raises(Falsification) as exc:
+            toric_ideal_basis(C4_IDEAL)
+        assert str(exc.value) == f"reduced basis element of a saturated ideal has a common factor: {bad}"
+
+    def test_does_not_vanish(self, monkeypatch):
+        ring = ReesRing.from_ideal(C4_IDEAL)
+        # coprime and homogeneous, but the images {1, 2, 3, 5} and {2, 3, 4, 5} differ
+        bad = named_binomial(ring, ("y[1,2]", "x3"), ("y[2,3]", "x4"))
+        self.final_run_adds(monkeypatch, lambda basis: bad)
+        with pytest.raises(Falsification) as exc:
+            toric_ideal_basis(C4_IDEAL)
+        assert str(exc.value) == f"basis element does not vanish under the monomial map: {bad}"
+
+
 # the packed kernel against the tuple definitions, on the ring of co-C5
 # (five x and five y variables) with exponents up to just below the limit
 KERNEL_RING = ReesRing.from_ideal(CO_C5)
@@ -496,11 +584,17 @@ class TestPackedKernel:
         assert coprime is all(min(x, y) == 0 for x, y in zip(a, b))
         assert (pk.key(pa) > pk.key(pb)) is (order.key(a) > order.key(b))
         assert (pk.key(pa) == pk.key(pb)) is (a == b)
-        # a run on homogeneous pairs compares only monomials of one degree
+        # a run on homogeneous pairs compares only monomials of one degree,
+        # and an inhomogeneous generator makes the packing compare keys
         c = a[::-1]
-        above = pk.above([(pa, pk.pack(c))])
-        assert above(pa, pk.pack(c)) is (order.key(a) > order.key(c))
-        assert pk.above([(pa, pb)])(pa, pb) is (order.key(a) > order.key(b))
+        assert pk.above(pa, pk.pack(c)) is (order.key(a) > order.key(c))
+        pk.pairs([Binomial(a, b)])
+        assert pk.above(pa, pb) is (order.key(a) > order.key(b))
+
+    def test_one_variable(self):
+        # a one-byte packing unpacks to a 1-tuple
+        order = TermOrder("lex", (0,), graded=False)
+        assert reduced_groebner([Binomial((3,), (1,))], order) == (Binomial((3,), (1,)),)
 
     def test_exponent_past_the_limit_in_the_input(self):
         order = TermOrder("lex", (0, 1), graded=False)
