@@ -324,15 +324,11 @@ def clique_complex(graph: Graph, peo=None) -> SimplicialComplex:
     return SimplicialComplex(g.n, tuple(cliques))
 
 
-def _complement_clique_complex(graph: Graph, refusal: str) -> SimplicialComplex:
-    """The clique complex of the complement of a simple graph, read off a
-    perfect elimination order; when the complement is not chordal, a
-    PreconditionError "<refusal> <chordless cycle>" carrying the cycle."""
-    comp = complement(graph)
-    cert = is_chordal(comp)
+def _refuse_unless_chordal(cert: Chordality, refusal: str) -> None:
+    """PreconditionError "<refusal> <chordless cycle>", carrying the cycle,
+    unless *cert* says chordal."""
     if not cert:
         raise PreconditionError(f"{refusal} {cert.chordless_cycle}", witness=cert.chordless_cycle)
-    return clique_complex(comp, cert.peo)
 
 
 def is_leaf(complex_: SimplicialComplex, facet_index: int, among=None) -> bool:
@@ -408,7 +404,15 @@ def dirac_labeling(graph: Graph, squares: Iterable[int] = ()) -> tuple[int, ...]
     squares = frozenset(squares)
     if any(not isinstance(v, int) or not 1 <= v <= graph.n for v in squares):
         raise InputError(f"square vertices {sorted(squares)} out of range 1..{graph.n}")
-    cx = _complement_clique_complex(graph, "complement is not chordal; chordless cycle")
+    comp = complement(graph)
+    cert = is_chordal(comp)
+    _refuse_unless_chordal(cert, "complement is not chordal; chordless cycle")
+    return _peel_labeling(graph, squares, clique_complex(comp, cert.peo))
+
+
+def _peel_labeling(graph: Graph, squares: frozenset[int], cx: SimplicialComplex) -> tuple[int, ...]:
+    """dirac_labeling from the clique complex *cx* of the chordal complement
+    of *graph*, on valid *squares*."""
     order = leaf_order(cx)
     if order is None:
         raise Falsification("chordal complement's clique complex admits no leaf order")
@@ -498,11 +502,21 @@ def check_free_vertex_squares(ideal: MonomialIdeal) -> CheckResult:
     two square indices.  Witnesses: ("not_free", i) or
     ("shared_facet", i, j, facet-as-sorted-tuple)."""
     graph = graph_of_ideal(ideal)
-    squares = sorted(graph.loops)
+    if not graph.loops:
+        return CheckResult(True)
+    comp = complement(graph.simple())
+    cert = is_chordal(comp)
+    return _free_vertex_squares(graph.loops, cert, clique_complex(comp, cert.peo) if cert else None)
+
+
+def _free_vertex_squares(loops, cert: Chordality, cx: SimplicialComplex | None) -> CheckResult:
+    """check_free_vertex_squares from the chordality certificate of the
+    complement of the squarefree part and, when chordal, its clique
+    complex *cx*."""
+    squares = sorted(loops)
     if not squares:
         return CheckResult(True)
-    cx = _complement_clique_complex(
-        graph.simple(), "complement of the squarefree part is not chordal; cycle")
+    _refuse_unless_chordal(cert, "complement of the squarefree part is not chordal; cycle")
     containing = {i: [f for f in cx.facets if i in f] for i in squares}
     for i in squares:
         if len(containing[i]) != 1:

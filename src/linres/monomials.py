@@ -4,7 +4,16 @@ Monomials are exponent vectors over a fixed ambient variable set
 x1..xn.  A MonomialIdeal always stores its unique minimal generating
 set in a canonical order (graded degree, then lexicographic on exponent
 vectors with variable 1 most significant, largest first), so every
-downstream report is reproducible byte for byte.
+downstream report is reproducible byte for byte.  The order comes from
+two stable sorts on the exponent tuples themselves, descending and then
+by their sum, so no per-monomial key is built in Python; only a
+mixed-degree set is swept for divisibility.
+
+MonomialIdeal.power adds packed exponent ints rather than tuples: each
+generator is one int with a slot per variable, variable 1 in the top
+slot, each slot wide enough for k times the largest exponent, so no sum
+of k generators carries from one slot into the next.  Every distinct
+product is unpacked once.
 
 The zero ideal is representable (no generators); the unit ideal is
 rejected, since none of the resolution-theoretic questions asked here
@@ -18,12 +27,15 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, le
 
 from .errors import InputError, ResourceGuard
 
 
 # the most k-fold products of generators one MonomialIdeal.power may form
 POWER_PRODUCT_CAP = 1_000_000
+
+_exps = attrgetter("exps")
 
 
 @dataclass(frozen=True, order=False)
@@ -35,7 +47,8 @@ class Monomial:
     def __post_init__(self):
         if not isinstance(self.exps, tuple):
             object.__setattr__(self, "exps", tuple(self.exps))
-        if any(not isinstance(e, int) or e < 0 for e in self.exps):
+        exps = self.exps
+        if not all(map(isinstance, exps, itertools.repeat(int))) or (exps and min(exps) < 0):
             raise InputError(f"exponents must be non-negative integers, got {self.exps}")
 
     @property
@@ -85,11 +98,6 @@ class Monomial:
     def __str__(self) -> str:
         return format_monomial(self, default_names(self.n))
 
-    def sort_key(self):
-        # graded, then exponent-lex with variable 1 most significant;
-        # negation puts the lex-largest monomial of each degree first.
-        return (self.degree, tuple(-e for e in self.exps))
-
 
 def monomial_from_support(n: int, indices) -> Monomial:
     """Monomial Π x_i over the given 1-based indices (repeats multiply)."""
@@ -117,12 +125,15 @@ class MonomialIdeal:
         if self.n < 0:
             raise InputError(f"need n >= 0, got {self.n}")
         gens = tuple(self.gens)
-        for g in gens:
-            if g.n != self.n:
-                raise InputError(f"generator {g.exps} has {g.n} variables, ideal has {self.n}")
-            if g.degree == 0:
-                raise InputError("unit ideal rejected: generator of degree 0")
-        object.__setattr__(self, "gens", _minimalize(gens))
+        exps = tuple(map(_exps, gens))
+        # exponents are non-negative, so any() is "degree > 0"
+        if not (all(map(self.n.__eq__, map(len, exps))) and all(map(any, exps))):
+            for g in gens:  # the first offending generator names the error
+                if g.n != self.n:
+                    raise InputError(f"generator {g.exps} has {g.n} variables, ideal has {self.n}")
+                if g.degree == 0:
+                    raise InputError("unit ideal rejected: generator of degree 0")
+        object.__setattr__(self, "gens", _minimalize(dict(zip(exps, gens))))
 
     @property
     def num_gens(self) -> int:
@@ -134,21 +145,27 @@ class MonomialIdeal:
     @property
     def degree(self) -> int | None:
         """Common generator degree, or None for a mixed-degree ideal."""
-        degs = {g.degree for g in self.gens}
-        if len(degs) == 1:
-            return degs.pop()
+        # the generators are sorted by degree: the ends bound the rest
+        if self.gens and self.gens[0].degree == self.gens[-1].degree:
+            return self.gens[0].degree
         return None
 
     def is_equigenerated(self) -> bool:
-        return len({g.degree for g in self.gens}) <= 1
+        return not self.gens or self.degree is not None
 
     def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.gens)
+        return max(map(max, map(_exps, self.gens)), default=0) <= 1
 
     def power(self, k: int) -> "MonomialIdeal":
         """I^k via all k-fold products of generators, then minimalization;
         ResourceGuard, before any product is formed, when the C(m + k - 1, k)
-        products of the m generators exceed POWER_PRODUCT_CAP."""
+        products of the m generators exceed POWER_PRODUCT_CAP.
+
+        The generators are added as packed ints: the exponent of x_i is
+        shifted by width * (n - i) bits, and `width` bits hold k times the
+        largest exponent, so a sum of k packed generators is their packed
+        product.  Each distinct sum is unpacked once, slot by slot.
+        """
         if k < 1:
             raise InputError(f"power must be a positive integer, got {k}")
         if self.is_zero():
@@ -158,14 +175,14 @@ class MonomialIdeal:
             raise ResourceGuard(
                 f"{products} products of generators exceed the cap {POWER_PRODUCT_CAP}"
             )
-        prods = set()
-        for combo in itertools.combinations_with_replacement(self.gens, k):
-            exps = [0] * self.n
-            for g in combo:
-                for i, e in enumerate(g.exps):
-                    exps[i] += e
-            prods.add(tuple(exps))
-        return MonomialIdeal(self.n, tuple(Monomial(e) for e in prods))
+        exps = [g.exps for g in self.gens]
+        width = (k * max(map(max, exps))).bit_length()
+        shifts = range(width * (self.n - 1), -1, -width)  # variable 1 in the top slot
+        mask = (1 << width) - 1
+        packed = [sum(map(int.__lshift__, e, shifts)) for e in exps]
+        sums = set(map(sum, itertools.combinations_with_replacement(packed, k)))
+        return MonomialIdeal(self.n, tuple(
+            Monomial(tuple(map(mask.__and__, map(p.__rshift__, shifts)))) for p in sums))
 
     def polarize(self) -> "MonomialIdeal":
         """Replace each generator x_i^2 by x_i * y_j with a fresh variable y_j.
@@ -194,13 +211,11 @@ class MonomialIdeal:
         """Apply a variable relabeling: old variable i becomes x_{labeling[i-1]}."""
         if sorted(labeling) != list(range(1, self.n + 1)):
             raise InputError(f"labeling {labeling} is not a permutation of 1..{self.n}")
-        new_gens = []
-        for g in self.gens:
-            exps = [0] * self.n
-            for i, e in enumerate(g.exps):
-                exps[labeling[i] - 1] = e
-            new_gens.append(Monomial(tuple(exps)))
-        return MonomialIdeal(self.n, tuple(new_gens))
+        source = [0] * self.n  # new variable j + 1 is old variable source[j] + 1
+        for i, new in enumerate(labeling):
+            source[new - 1] = i
+        return MonomialIdeal(self.n, tuple(
+            Monomial(tuple(map(g.exps.__getitem__, source))) for g in self.gens))
 
     @functools.cached_property
     def _degree_two(self) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
@@ -234,21 +249,32 @@ class MonomialIdeal:
         return "(" + ", ".join(format_monomial(g, names) for g in self.gens) + ")"
 
 
-def _minimalize(gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
-    """Unique minimal generating set, canonically sorted."""
-    uniq = sorted(set(gens), key=Monomial.sort_key)
-    kept: list[Monomial] = []
-    lower = 0  # kept[:lower] are the kept generators of lower degree than g
-    degree = None
-    for g in uniq:
-        # a same-degree divisor is a duplicate, already removed by the set,
-        # so only the strictly lower degrees are tested
-        if g.degree != degree:
-            degree = g.degree
-            lower = len(kept)
-        if not any(h.divides(g) for h in itertools.islice(kept, lower)):
-            kept.append(g)
-    return tuple(kept)
+def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Does x^a divide x^b?"""
+    return all(map(le, a, b))
+
+
+def _minimalize(by_exps: dict[tuple[int, ...], Monomial]) -> tuple[Monomial, ...]:
+    """Unique minimal generating set, canonically sorted, of the distinct
+    generators keyed by their exponents."""
+    # two stable sorts: exponent-lex descending, then degree ascending
+    ranked = sorted(by_exps, reverse=True)
+    ranked.sort(key=sum)
+    if ranked and sum(ranked[0]) != sum(ranked[-1]):
+        # a same-degree divisor is a duplicate, already removed by the
+        # dict, so one degree alone needs no sweep, and the sweep tests
+        # only the strictly lower degrees
+        kept: list[tuple[int, ...]] = []
+        lower = 0  # kept[:lower] are the kept generators of lower degree than e
+        degree = None
+        for e in ranked:
+            if sum(e) != degree:
+                degree = sum(e)
+                lower = len(kept)
+            if not any(map(_divides, itertools.islice(kept, lower), itertools.repeat(e))):
+                kept.append(e)
+        ranked = kept
+    return tuple(map(by_exps.__getitem__, ranked))
 
 
 # ---------------------------------------------------------------------------

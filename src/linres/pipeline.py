@@ -196,16 +196,20 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     # stage 1: chordality of the complement of the squarefree part's graph
     t0 = time.perf_counter()
     g_simple = graphs.graph_of_ideal(ideal).simple()
-    chord = graphs.is_chordal(graphs.complement(g_simple))
+    comp = graphs.complement(g_simple)
+    chord = graphs.is_chordal(comp)
     timings["chordal"] = round(time.perf_counter() - t0, 3)
     report["complement_chordal"] = chordality_json(chord)
 
-    # stage 2: quasi-tree labeling and the generator conditions
-    labeling = None
+    # stage 2: quasi-tree labeling and the generator conditions; the
+    # labeling and the free-vertex check read stage 1's certificate and
+    # the clique complex of its perfect elimination order
+    labeling = cx = None
     relabeled = ideal
     if chord.is_chordal:
+        cx = graphs.clique_complex(comp, chord.peo)
         # square vertices ride on top of their peel block; see dirac_labeling
-        labeling = graphs.dirac_labeling(g_simple, ideal.square_set())
+        labeling = graphs._peel_labeling(g_simple, ideal.square_set(), cx)
         if labeling != tuple(range(1, ideal.n + 1)):
             relabeled = ideal.relabel(labeling)
     report["labeling"] = list(labeling) if labeling is not None else None
@@ -213,7 +217,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     star2 = graphs.check_star_star(relabeled)
     conditions: dict = {"star": check_json(star), "star_star": check_json(star2)}
     try:
-        fv = graphs.check_free_vertex_squares(ideal)
+        fv = graphs._free_vertex_squares(ideal.square_set(), chord, cx)
         conditions["free_vertex_squares"] = {"applicable": True, **check_json(fv)}
     except PreconditionError as exc:
         fv = None

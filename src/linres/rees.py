@@ -420,15 +420,22 @@ class _Budget:
     def tick(self, cost: int = 1):
         self.spent += cost
         if self.spent > self.limit:
-            raise BudgetExhausted(f"{self.what}: exceeded {self.limit} steps")
+            raise self.exhausted()
+
+    def exhausted(self) -> BudgetExhausted:
+        return BudgetExhausted(f"{self.what}: exceeded {self.limit} steps")
 
 
 def _buchberger(pairs, pk: _Packing) -> tuple[list[int], list[int]]:
-    """The leads and tails of a Groebner basis of oriented packed pairs."""
+    """The leads and tails of a Groebner basis of oriented packed pairs.
+
+    The budget's steps and the guard test of pk.check run inline: the
+    count lives in a local and is stored in budget.spent on the way out,
+    and pk.check is called only on a guard bit it will raise for."""
     budget = _Budget(GROEBNER_BUDGET, "buchberger")
     index = _LeadIndex(pk)
     leads, tails, supports = index.leads, [], []
-    above, divisor, check = pk.above, index.divisor, pk.check
+    above, divisor, guard = pk.above, index.divisor, pk.guard
     heap: list = []
 
     def add(u, t):
@@ -444,22 +451,32 @@ def _buchberger(pairs, pk: _Packing) -> tuple[list[int], list[int]]:
 
     for u, t in pairs:
         add(u, t)
-    while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        budget.tick()
-        u = lcm - leads[j] + tails[j]
-        t = lcm - leads[i] + tails[i]
-        check(u | t)
-        while u != t:
-            if above(t, u):
-                u, t = t, u
-            k = divisor(u)
-            if k < 0:
-                add(u, t)
-                break
-            budget.tick()
-            u = u - leads[k] + tails[k]
-            check(u)
+    spent, limit = 0, budget.limit
+    try:
+        while heap:
+            _, lcm, i, j = heapq.heappop(heap)
+            spent += 1
+            if spent > limit:
+                raise budget.exhausted()
+            u = lcm - leads[j] + tails[j]
+            t = lcm - leads[i] + tails[i]
+            if (u | t) & guard:
+                pk.check(u | t)
+            while u != t:
+                if above(t, u):
+                    u, t = t, u
+                k = divisor(u)
+                if k < 0:
+                    add(u, t)
+                    break
+                spent += 1
+                if spent > limit:
+                    raise budget.exhausted()
+                u = u - leads[k] + tails[k]
+                if u & guard:
+                    pk.check(u)
+    finally:
+        budget.spent = spent
     return leads, tails
 
 

@@ -110,6 +110,25 @@ def brute_minimalize(monomials):
     ]
 
 
+def canonical_key(m: Monomial):
+    """The canonical generator order as one sort key: graded, then
+    exponent-lex with variable 1 most significant, the lex-largest
+    monomial of each degree first."""
+    return (m.degree, tuple(-e for e in m.exps))
+
+
+def brute_power(ideal: MonomialIdeal, k: int) -> list[Monomial]:
+    """I^k from its definition: the minimal k-fold products of generators,
+    in canonical order."""
+    products = []
+    for combo in combinations_with_replacement(ideal.gens, k):
+        product = combo[0]
+        for g in combo[1:]:
+            product = product * g
+        products.append(product)
+    return sorted(brute_minimalize(products), key=canonical_key)
+
+
 def brute_colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """I : m from its definition: generated by g / gcd(g, m) over the generators g."""
     return MonomialIdeal(ideal.n, tuple(brute_minimalize(g / g.gcd(m) for g in ideal.gens)))

@@ -17,13 +17,23 @@ import re
 
 import pytest
 
-from corpus import brute_colon, ideal_of, lead_walk_order, square_corpus, squarefree_corpus
+from corpus import (
+    brute_colon,
+    co_cycle,
+    co_path,
+    ideal_of,
+    lead_walk_order,
+    square_corpus,
+    squarefree_corpus,
+)
+import linres.graphs as graphs_mod
 import linres.rees as rees_mod
 from linres import pipeline
 from linres.betti import GF2, QQ, koszul_tables
-from linres.errors import Falsification
+from linres.errors import Falsification, PreconditionError
 from linres.graphs import (
     Graph,
+    check_free_vertex_squares,
     check_star,
     check_star_star,
     complement,
@@ -224,3 +234,45 @@ class TestWrongOrderInAnalyze:
         binomial = re.escape("y[1,4]*y[2,5] - y[1,5]*y[2,4]")
         with pytest.raises(Falsification, match=f"element {binomial} does not lead"):
             pipeline.analyze(co_p5)
+
+
+class TestOneChordalityDecision:
+    def test_analyze_decides_chordality_once(self, monkeypatch):
+        calls = []
+        original = graphs_mod.is_chordal
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(graphs_mod, "is_chordal", counting)
+        report = pipeline.analyze(ideal_of(4, (1, 1), (1, 2), (2, 3), (3, 4)))
+        assert report["conditions"]["free_vertex_squares"]["applicable"]
+        assert report["labeling"] is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ideal", [
+        ideal_of(5, (1, 1), *co_cycle(5).pair_set()),
+        ideal_of(6, (2, 2), (5, 5), *co_cycle(6).pair_set()),
+        ideal_of(5, (3, 3), *co_path(5).pair_set()),
+        ideal_of(4, (1, 1), (2, 2), (1, 3), (2, 4)),
+        ideal_of(4, (1, 1), (2, 2), (1, 2), (1, 3)),
+    ], ids=["co-C5 + x1^2", "co-C6 + x2^2 + x5^2", "co-P5 + x3^2", "two squares, 2K2",
+            "two free squares"])
+    def test_stages_match_the_public_checks(self, ideal):
+        # the labeling and the free-vertex verdict or refusal, read off one
+        # certificate, are those of the public functions
+        report = pipeline.analyze(ideal, max_power=1)
+        g_simple = graph_of_ideal(ideal).simple()
+        try:
+            labeling = list(dirac_labeling(g_simple, ideal.square_set()))
+        except PreconditionError:
+            labeling = None
+        assert report["labeling"] == labeling
+        try:
+            fv = check_free_vertex_squares(ideal)
+        except PreconditionError as exc:
+            expected = {"applicable": False, "reason": str(exc)}
+        else:
+            expected = {"applicable": True, **pipeline.check_json(fv)}
+        assert report["conditions"]["free_vertex_squares"] == expected

@@ -19,7 +19,9 @@ def test_demos_found():
 def test_demo_exits_0(demo):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    # under python -O the demo runs with -O too
+    optimize = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *optimize, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

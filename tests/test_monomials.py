@@ -1,10 +1,22 @@
+import hashlib
 import json
+import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpus import brute_minimalize, ideal_of, sturmfels_ideal, terai_ideal
+from corpus import (
+    brute_minimalize,
+    brute_power,
+    canonical_key,
+    ideal_of,
+    square_corpus,
+    squarefree_corpus,
+    sturmfels_ideal,
+    terai_ideal,
+)
 import linres.monomials as monomials_mod
 from linres.errors import InputError, ResourceGuard
 from linres.monomials import (
@@ -108,20 +120,48 @@ class TestMinimalGenerators:
             brute_minimalize(monomials), key=lambda g: g.exps
         )
 
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * 4),
+            max_size=14,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_degree_order_is_the_canonical_key(self, exps):
+        monomials = [Monomial(e) for e in exps if sum(e) > 0]
+        assume(len({g.degree for g in monomials}) > 1)
+        got = MonomialIdeal(4, tuple(monomials)).gens
+        assert list(got) == sorted(brute_minimalize(monomials), key=canonical_key)
+
     def test_equigenerated_power_makes_no_divisibility_test(self, monkeypatch):
-        # the products all share one degree, so none can divide another
+        # the products all share one degree, so none can divide another;
+        # the mixed-degree ideal shows the counted test is the one in use
         calls = []
-        original = Monomial.divides
+        original = monomials_mod._divides
 
-        def counting(self, other):
+        def counting(a, b):
             calls.append(1)
-            return original(self, other)
+            return original(a, b)
 
-        ideal = sturmfels_ideal()
-        monkeypatch.setattr(Monomial, "divides", counting)
-        cube = ideal.power(3)
+        monkeypatch.setattr(monomials_mod, "_divides", counting)
+        assert MonomialIdeal(2, (m(1, 0), m(1, 1), m(0, 2))).gens == (m(1, 0), m(0, 2))
+        assert calls
+        calls.clear()
+        cube = sturmfels_ideal().power(3)
         assert cube.is_equigenerated() and cube.num_gens > 0
         assert calls == []
+
+    def test_generator_digest(self):
+        # the generators of I, I^2, I^3, the polarization and the reversal
+        # relabeling of every corpus ideal, pinned byte for byte
+        digest = hashlib.sha256()
+        for ideal in [*squarefree_corpus(5), *square_corpus(4)]:
+            reversal = tuple(range(ideal.n, 0, -1))
+            for derived in (ideal, ideal.power(2), ideal.power(3), ideal.polarize(),
+                            ideal.relabel(reversal)):
+                digest.update(repr([g.exps for g in derived.gens]).encode())
+        assert digest.hexdigest() == (
+            "e8508743cade2f9efed5208e949e2aaacb3bf027476f3bffc9b28c96e6f9feed")
 
 
 class TestIdeal:
@@ -179,6 +219,33 @@ class TestPower:
         with pytest.raises(ResourceGuard, match="^36 products of generators exceed the cap 35$"):
             sturmfels_ideal().power(2)
 
+    def test_slots_wider_than_a_byte(self):
+        # 2 * 200 and 3 * 150 pass 255, the largest one-byte slot
+        ideal = MonomialIdeal(3, (m(200, 1, 0), m(0, 150, 3), m(7, 0, 1)))
+        for k in (1, 2, 3):
+            assert list(ideal.power(k).gens) == brute_power(ideal, k)
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 300)] * 3),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_large_exponents_match_the_product_definition(self, exps, k):
+        monomials = [Monomial(e) for e in exps if sum(e) > 0]
+        assume(monomials)
+        ideal = MonomialIdeal(3, tuple(monomials))
+        assert list(ideal.power(k).gens) == brute_power(ideal, k)
+
+    def test_corpus_sample_to_the_fourth_power(self):
+        corpus = [*squarefree_corpus(5), *square_corpus(4)]
+        for ideal in random.Random(2026).sample(corpus, 40):
+            for k in (2, 3, 4):
+                assert list(ideal.power(k).gens) == brute_power(ideal, k), (ideal, k)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
@@ -197,6 +264,37 @@ class TestPower:
         lhs = ideal.power(k1 + k2)
         products = [u * v for u in ideal.power(k1).gens for v in ideal.power(k2).gens]
         assert lhs == MonomialIdeal(3, tuple(products))
+
+
+class TestInputErrorTexts:
+    @pytest.mark.parametrize("build, text", [
+        (lambda: Monomial((1, -1)), "exponents must be non-negative integers, got (1, -1)"),
+        (lambda: Monomial((1, 2.0)), "exponents must be non-negative integers, got (1, 2.0)"),
+        (lambda: Monomial([0, "a"]), "exponents must be non-negative integers, got (0, 'a')"),
+        (lambda: m(1, 0).divides(m(1, 0, 0)),
+         "monomials live in different rings: 2 vs 3 variables"),
+        (lambda: m(1, 0).lcm(m(1,)), "monomials live in different rings: 2 vs 1 variables"),
+        (lambda: m(1, 0).gcd(m(1,)), "monomials live in different rings: 2 vs 1 variables"),
+        (lambda: m(1, 0) * m(1,), "monomials live in different rings: 2 vs 1 variables"),
+        (lambda: m(1, 2) / m(2, 0), "x1^2 does not divide x1*x2^2"),
+        (lambda: monomial_from_support(2, (3,)), "variable index 3 out of range 1..2"),
+        (lambda: MonomialIdeal(-1, ()), "need n >= 0, got -1"),
+        (lambda: MonomialIdeal(2, (m(1, 0), m(1, 0, 0))),
+         "generator (1, 0, 0) has 3 variables, ideal has 2"),
+        (lambda: MonomialIdeal(2, (m(1, 0), m(0, 0))),
+         "unit ideal rejected: generator of degree 0"),
+        # the first offending generator names the error
+        (lambda: MonomialIdeal(2, (m(0, 0), m(1,))), "unit ideal rejected: generator of degree 0"),
+        (lambda: MonomialIdeal(2, (m(1,), m(0, 0))), "generator (1,) has 1 variables, ideal has 2"),
+        (lambda: ideal_of(2, (1, 2)).power(0), "power must be a positive integer, got 0"),
+        (lambda: ideal_of(2, (1, 2)).relabel((1, 1)),
+         "labeling (1, 1) is not a permutation of 1..2"),
+        (lambda: terai_ideal().polarize(),
+         "operation requires generation in degree 2, found degree 3"),
+    ])
+    def test_text(self, build, text):
+        with pytest.raises(InputError, match=f"^{re.escape(text)}$"):
+            build()
 
 
 class TestSquarefreePartAndPolarize:

@@ -474,6 +474,29 @@ def test_steps_of_every_run(monkeypatch, ideal, spent):
     assert [(b.what, b.spent) for b in made] == list(zip(runs, spent))
 
 
+def test_steps_spent_at_each_raise(monkeypatch):
+    # a raise leaves the steps of the run counted up to and including the
+    # step that raised
+    made = []
+
+    class Recording(rees_mod._Budget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(rees_mod, "_Budget", Recording)
+    monkeypatch.setattr(rees_mod, "GROEBNER_BUDGET", 17)
+    with pytest.raises(BudgetExhausted, match=r"^buchberger: exceeded 17 steps$"):
+        toric_ideal_basis(CO_C5)
+    assert [(b.what, b.spent) for b in made] == [("buchberger", 18)]
+    made.clear()
+    # lex x > y: the S-pair of x - y^100 and x^2 - y reduces to y^200
+    order = TermOrder("lex", (0, 1), graded=False)
+    with pytest.raises(ResourceGuard, match=r"^buchberger: an exponent reached 128$"):
+        buchberger([Binomial((1, 0), (0, 100)), Binomial((2, 0), (0, 1))], order)
+    assert [(b.what, b.spent) for b in made] == [("buchberger", 2)]
+
+
 def test_basis_digest():
     # the reduced bases of the 2,117 corpus ideals, pinned byte for byte
     digest = hashlib.sha256()
