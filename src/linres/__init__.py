@@ -73,7 +73,6 @@ from .rees import (
     WalkBinomial,
     WalkCrossCheck,
     XDegreeReport,
-    buchberger,
     enumerate_primitive_even_walks,
     even_closed_walks,
     graver_basis,
@@ -81,7 +80,6 @@ from .rees import (
     orientation_free,
     realize_walk,
     walk_to_binomial,
-    reduced_groebner,
     toric_ideal_basis,
     x_degree_check,
 )

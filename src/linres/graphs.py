@@ -85,6 +85,12 @@ class Graph:
         return sorted(self.edges)
 
 
+def _is_json_int(v) -> bool:
+    """An int that is not a bool: JSON true and false load as bools,
+    which Python counts as ints, and are neither a size nor a vertex."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_json(obj: str | bytes | dict) -> Graph:
     """Build a graph from {"n": ..., "edges": [[i, j], ...], "loops": [i, ...]}.
 
@@ -96,7 +102,7 @@ def graph_from_json(obj: str | bytes | dict) -> Graph:
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad graph JSON: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("n"), int):
+    if not isinstance(obj, dict) or not _is_json_int(obj.get("n")):
         raise InputError('graph JSON needs an integer "n"')
     edges = obj.get("edges", [])
     loops = obj.get("loops", [])
@@ -104,11 +110,10 @@ def graph_from_json(obj: str | bytes | dict) -> Graph:
         raise InputError('"edges" and "loops" must be lists')
     pairs = set()
     for e in edges:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and all(isinstance(v, int) for v in e)):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_json_int, e))):
             raise InputError(f"edge {e!r} is not a pair of integers")
         pairs.add((e[0], e[1]))
-    if not all(isinstance(v, int) for v in loops):
+    if not all(map(_is_json_int, loops)):
         raise InputError("loops must be integers")
     return Graph(obj["n"], frozenset(pairs), frozenset(loops))
 

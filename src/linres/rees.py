@@ -31,8 +31,15 @@ final edge-lex basis is unpacked.  Reducers are found through lead
 buckets (_LeadIndex).  The input's homogeneity and the coprime sides of
 the final basis are checked on the ints; vanishing under the monomial
 map (through ends), the Hilbert counts and the walks work on the tuples.
-An independent cross-check lives here as well: the combinatorial Graver
-basis via primitive even closed walks of the cone graph.
+
+toric_ideal_basis is the one way into the Groebner engine (_buchberger,
+_reduced), and every pair it hands the engine is homogeneous: the input
+is checked so, and the saturations keep it so.  The engine relies on
+it: a graded order compares packed ints of one degree directly, and no
+lead is 1.  Tests reach the engine through a reference built on the
+same functions.  An independent cross-check lives here as well: the
+combinatorial Graver basis via primitive even closed walks of the cone
+graph.
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from __future__ import annotations
 import functools
 import heapq
 import operator
-import sys
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, Falsification, InputError, ResourceGuard
@@ -248,9 +254,9 @@ class _Packing:
 
     The bytes hold the exponents in the order's ranking, most significant
     variable in the top byte; graded orders take the reversed ranking, so
-    grevlex_last(v) puts v in the top byte.  Binomials are packed once;
-    moved() carries packed pairs from one order to the next by permuting
-    bytes, byte k taking the source's byte src.slot[seq[k]].
+    grevlex_last(v) puts v in the top byte.  Pairs are built packed, as
+    sums of units(); moved() carries them from one order to the next by
+    permuting bytes, byte k taking the source's byte src.slot[seq[k]].
     Bit 7 of every byte is a guard bit, so every exponent stays below
     _LIMIT, and with G the mask of all guard bits no subtraction below
     borrows across a byte:
@@ -266,12 +272,13 @@ class _Packing:
       favours the smaller exponent of the cheapest variable, which sits
       in the top byte.
 
-    above(u, t) is the comparison u > t within the pairs of a run.  When
-    every pair is homogeneous, so is every binomial of the run, and a
-    graded order only compares monomials of equal degree: there the
-    smaller int is the larger monomial.  Saturation and moved() keep
-    pairs homogeneous, so only pairs() may meet other input; it makes
-    this packing compare full keys when a generator is not homogeneous.
+    above(u, t) is the comparison u > t within the pairs of a run.  It
+    serves one kind of input, homogeneous pairs: _input_pairs checks the
+    first run's, moved() keeps the degrees, and a saturation takes the
+    same v-content off both sides.  An S-pair or reduction step replaces
+    a lead by a tail of the same degree, so every binomial of a run is
+    homogeneous, and a graded order only compares monomials of equal
+    degree, where the smaller int is the larger monomial.
     """
 
     def __init__(self, order: TermOrder, num_vars: int):
@@ -286,12 +293,7 @@ class _Packing:
         self.guard = int.from_bytes(b"\x80" * num_vars, "big")
         self.ones = int.from_bytes(b"\x01" * num_vars, "big")
         self.above = int.__lt__ if order.graded else int.__gt__
-        self._pack, self._unpack = _picker(self.seq), _picker(self.slot)
-
-    def pack(self, exps) -> int:
-        if max(exps, default=0) >= _LIMIT:
-            raise ResourceGuard(f"buchberger: exponent past {_LIMIT - 1} in {tuple(exps)}")
-        return int.from_bytes(bytes(self._pack(exps)), "big")
+        self._unpack = _picker(self.slot)
 
     def unpack(self, m: int) -> tuple[int, ...]:
         return self._unpack(m.to_bytes(self.size, "big"))
@@ -339,11 +341,6 @@ class _Packing:
                 out.append((u, t))
         return out
 
-    def pairs(self, gens) -> list[tuple[int, int]]:
-        if self.graded and any(sum(f.lead) != sum(f.tail) for f in gens):
-            self.above = lambda u, t: self.key(u) > self.key(t)
-        return self.oriented([(self.pack(f.lead), self.pack(f.tail)) for f in gens])
-
     def moved(self, pairs, src: "_Packing") -> list[tuple[int, int]]:
         """Pairs packed by *src*, packed and oriented here."""
         pick, size = _picker([src.slot[v] for v in self.seq]), self.size
@@ -364,30 +361,27 @@ class _LeadIndex:
     scans only the buckets of m's nonzero bytes.  A bucket holds lead
     indices in ascending order and is left at the first index not below
     the best divisor so far, so divisor returns the lowest-index divisor,
-    the one a scan of all leads in order returns.  The lead 1 (packed 0)
-    has no nonzero byte and divides everything: it is the starting best.
+    the one a scan of all leads in order returns.  No lead is 1 (packed
+    0): a run's binomials are homogeneous with distinct sides, so both
+    sides have degree at least 1.
     """
 
     def __init__(self, pk: _Packing):
         self.guard, self.ones = pk.guard, pk.ones
         self.leads: list[int] = []
         self.buckets: list[list[int]] = [[] for _ in range(pk.size)]
-        self.unit = sys.maxsize
         self.filed = 0  # the guard bits of the bytes with a nonempty bucket
 
     def add(self, g: int) -> None:
-        if g:
-            b = ((g & -g).bit_length() - 1) >> 3
-            self.buckets[b].append(len(self.leads))
-            self.filed |= 0x80 << (8 * b)
-        else:
-            self.unit = min(self.unit, len(self.leads))
+        b = ((g & -g).bit_length() - 1) >> 3
+        self.buckets[b].append(len(self.leads))
+        self.filed |= 0x80 << (8 * b)
         self.leads.append(g)
 
     def divisor(self, m: int) -> int:
         """Index of the first lead that divides m, or -1."""
         leads, buckets, guard = self.leads, self.buckets, self.guard
-        best = self.unit
+        best = count = len(leads)
         high = m | guard
         nonzero = (high - self.ones) & self.filed  # m's nonzero bytes with leads
         while nonzero:
@@ -399,7 +393,7 @@ class _LeadIndex:
                 if (high - leads[k]) & guard == guard:
                     best = k
                     break
-        return best if best < len(leads) else -1
+        return best if best < count else -1
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +411,8 @@ class _Budget:
         self.spent = 0
         self.what = what
 
-    def tick(self, cost: int = 1):
-        self.spent += cost
+    def tick(self):
+        self.spent += 1
         if self.spent > self.limit:
             raise self.exhausted()
 
@@ -427,8 +421,14 @@ class _Budget:
 
 
 def _buchberger(pairs, pk: _Packing) -> tuple[list[int], list[int]]:
-    """The leads and tails of a Groebner basis of oriented packed pairs.
+    """The leads and tails of a Groebner basis of oriented packed pairs,
+    all homogeneous (see _Packing).
 
+    Normal selection (smallest S-pair lcm degree first), plus the
+    coprime-lead criterion: a reduction step is lead - g.lead + g.tail
+    with g the first lead that divides, found through the lead buckets
+    (_LeadIndex).  An exponent reaching _LIMIT raises ResourceGuard;
+    GROEBNER_BUDGET bounds the total number of reduction and pair steps.
     The budget's steps and the guard test of pk.check run inline: the
     count lives in a local and is stored in budget.spent on the way out,
     and pk.check is called only on a guard bit it will raise for."""
@@ -503,36 +503,6 @@ def _reduced(pairs, pk: _Packing) -> tuple[list[int], list[int]]:
             raise Falsification(f"tail reduction collapsed a binomial: {pk.binomials([u], [t])[0]}")
         reduced.append(t)
     return leads, reduced
-
-
-def buchberger(gens, order: TermOrder) -> list[Binomial]:
-    """A Groebner basis of the binomial ideal generated by *gens*.
-
-    Normal selection (smallest S-pair lcm degree first), plus the
-    coprime-lead criterion, on packed monomials (_Packing): a reduction
-    step is lead - g.lead + g.tail with g the first lead that divides,
-    found through the lead buckets (_LeadIndex).  An exponent reaching
-    _LIMIT raises ResourceGuard; GROEBNER_BUDGET bounds the total number
-    of reduction and pair steps.  This wrapper packs *gens* and unpacks
-    the basis; toric_ideal_basis stays packed throughout.
-    """
-    gens = list(gens)
-    if not gens:
-        return []
-    pk = _Packing(order, len(gens[0].lead))
-    return pk.binomials(*_buchberger(pk.pairs(gens), pk))
-
-
-def reduced_groebner(gens, order: TermOrder) -> tuple[Binomial, ...]:
-    """The reduced Groebner basis: minimal leads, fully reduced tails.
-
-    Deterministic: output sorted by the order key of the leads.
-    """
-    gens = list(gens)
-    if not gens:
-        return ()
-    pk = _Packing(order, len(gens[0].lead))
-    return tuple(pk.binomials(*_reduced(pk.pairs(gens), pk)))
 
 
 # ---------------------------------------------------------------------------

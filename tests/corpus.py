@@ -9,6 +9,7 @@ from itertools import combinations, combinations_with_replacement, product
 from linres.betti import BettiTable, _mask_cohomology
 from linres.graphs import Graph
 from linres.monomials import Monomial, MonomialIdeal, ideal_from_strings
+from linres import rees
 from linres.rees import Binomial
 
 
@@ -321,3 +322,29 @@ def first_divisor(m: int, leads, guard: int) -> int:
         if (high - g) & guard == guard:
             return k
     return -1
+
+
+def pack(pk, exps) -> int:
+    """The monomial x^exps as the int of the rees._Packing pk: the
+    exponent of variable pk.seq[k] in byte k, counted from the top."""
+    if max(exps, default=0) >= rees._LIMIT:
+        raise ValueError(f"exponent past {rees._LIMIT - 1} in {tuple(exps)}")
+    return int.from_bytes(bytes(exps[v] for v in pk.seq), "big")
+
+
+def groebner_reference(gens, order, reduced=True) -> tuple[Binomial, ...]:
+    """A Groebner basis of the binomials gens under order, through the
+    engine toric_ideal_basis runs (rees._buchberger, and rees._reduced
+    for the reduced basis, sorted by the order key of the leads).
+
+    The engine compares a graded order's packed ints only within one
+    degree, so a graded order refuses inhomogeneous input.
+    """
+    gens = list(gens)
+    if not gens:
+        return ()
+    if order.graded and any(sum(g.lead) != sum(g.tail) for g in gens):
+        raise ValueError(f"{order.name} is graded and the input is not homogeneous")
+    pk = rees._Packing(order, len(gens[0].lead))
+    pairs = pk.oriented([(pack(pk, g.lead), pack(pk, g.tail)) for g in gens])
+    return tuple(pk.binomials(*(rees._reduced if reduced else rees._buchberger)(pairs, pk)))

@@ -296,6 +296,16 @@ class TestChordal:
         assert rc == 0 and report["source"] == "ideal"
         assert report["chordal"]["ok"]
 
+    @pytest.mark.parametrize("graph, message", [
+        ({"n": True, "edges": []}, 'graph JSON needs an integer "n"'),
+        ({"n": 3, "edges": [[True, 2], [2, 3]]}, "edge [True, 2] is not a pair of integers"),
+        ({"n": 3, "edges": [[1, 2]], "loops": [False]}, "loops must be integers"),
+    ], ids=["n", "edge-end", "loop"])
+    def test_json_booleans_are_no_vertices(self, capsys, tmp_path, graph, message):
+        rc, out, err = run(capsys, "chordal", write_json(tmp_path, "bool.json", graph))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
 
 class TestGroebner:
     def test_square_block_basis(self, capsys, msq):

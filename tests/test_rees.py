@@ -13,9 +13,11 @@ from corpus import (
     co_path,
     degree_two_seed_reference,
     first_divisor,
+    groebner_reference,
     ideal_of,
     lattice_basis_reference,
     m_squared,
+    pack,
     square_corpus,
     square_straddle_ideal,
     squarefree_corpus,
@@ -37,8 +39,6 @@ from linres.rees import (
     groebner_vs_walks,
     orientation_free,
     realize_walk,
-    buchberger,
-    reduced_groebner,
     toric_ideal_basis,
     walk_to_binomial,
     x_degree_check,
@@ -74,7 +74,7 @@ def toric_basis_by_elimination(ideal):
     ranking = tuple(range(k)) + tuple(k + r for r in ring.edge_lex().ranking)
     order = TermOrder("elim-lex", ranking, graded=False)
     out = []
-    for g in reduced_groebner(gens, order):
+    for g in groebner_reference(gens, order):
         if any(g.lead[:k]) or any(g.tail[:k]):
             continue
         out.append(Binomial(g.lead[k:], g.tail[k:]))
@@ -256,7 +256,7 @@ class TestDegreeTwoSeed:
         a0, b0 = ring.edges[0]
         for v in sorted({a0 - 1, b0 - 1}, reverse=True):
             pk, pairs = rees_mod._saturate_variable(pk, pairs, ring, v)
-        return reduced_groebner(pk.binomials(*zip(*pairs)), ring.edge_lex())
+        return groebner_reference(pk.binomials(*zip(*pairs)), ring.edge_lex())
 
     @pytest.mark.parametrize("ideal", [
         pytest.param(build(n), id=f"{label}{n}", marks=[pytest.mark.slow] if n == 7 else [])
@@ -493,7 +493,7 @@ def test_steps_spent_at_each_raise(monkeypatch):
     # lex x > y: the S-pair of x - y^100 and x^2 - y reduces to y^200
     order = TermOrder("lex", (0, 1), graded=False)
     with pytest.raises(ResourceGuard, match=r"^buchberger: an exponent reached 128$"):
-        buchberger([Binomial((1, 0), (0, 100)), Binomial((2, 0), (0, 1))], order)
+        groebner_reference([Binomial((1, 0), (0, 100)), Binomial((2, 0), (0, 1))], order, reduced=False)
     assert [(b.what, b.spent) for b in made] == [("buchberger", 2)]
 
 
@@ -505,9 +505,33 @@ def test_basis_digest():
     assert digest.hexdigest() == "a6e3e1f6088376d350df0e9dcbf65b9d2f1d41ae64668a07f531e2052aeeaf26"
 
 
+def test_the_engine_gets_homogeneous_pairs_and_files_no_lead_one(monkeypatch):
+    # the invariant the engine relies on: every pair toric_ideal_basis
+    # hands _buchberger is homogeneous, so no lead of a run is 1 (packed 0)
+    run, add = rees_mod._buchberger, rees_mod._LeadIndex.add
+    seen = {"pairs": 0, "leads": 0}
+
+    def checked_run(pairs, pk):
+        for u, t in pairs:
+            assert pk.degree(u) == pk.degree(t), f"inhomogeneous pair {pk.binomials([u], [t])[0]}"
+        seen["pairs"] += len(pairs)
+        return run(pairs, pk)
+
+    def checked_add(index, g):
+        assert g != 0, "the lead 1 was filed"
+        seen["leads"] += 1
+        add(index, g)
+
+    monkeypatch.setattr(rees_mod, "_buchberger", checked_run)
+    monkeypatch.setattr(rees_mod._LeadIndex, "add", checked_add)
+    for ideal in [*squarefree_corpus(5), *square_corpus(4), co_path(6), co_cycle(7)]:
+        toric_ideal_basis(ideal)
+    assert seen["pairs"] > 0 and seen["leads"] > 0
+
+
 def test_packed_input_equals_the_tuple_references():
     # the pairs the first run starts from, in order, against the lattice
-    # and seed references packed and oriented by _Packing.pairs
+    # and seed references, packed by corpus.pack and oriented
     corpus = [*squarefree_corpus(5), *square_corpus(4)]
     ideals = random.Random(2026).sample(corpus, 300) + [
         build(n) for n in (5, 6, 7)
@@ -516,7 +540,8 @@ def test_packed_input_equals_the_tuple_references():
         ring = ReesRing.from_ideal(ideal)
         seed = degree_two_seed_reference(ring)
         pk = rees_mod._Packing(ring.edge_lex(), ring.num_vars)
-        expected = pk.pairs(lattice_basis_reference(ring) + seed), len(seed)
+        refs = lattice_basis_reference(ring) + seed
+        expected = pk.oriented([(pack(pk, g.lead), pack(pk, g.tail)) for g in refs]), len(seed)
         got = rees_mod._input_pairs(ring, rees_mod._Packing(ring.edge_lex(), ring.num_vars))
         assert got == expected, ideal
 
@@ -536,7 +561,7 @@ class TestPackedCertificates:
             if pk.graded:
                 return leads, tails
             g = extra(pk.binomials(leads, tails))
-            return leads + [pk.pack(g.lead)], tails + [pk.pack(g.tail)]
+            return leads + [pack(pk, g.lead)], tails + [pack(pk, g.tail)]
 
         monkeypatch.setattr(rees_mod, "_reduced", final_plus)
 
@@ -593,7 +618,7 @@ class TestPackedKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_tuple_definitions(self, order, a, b):
         pk = rees_mod._Packing(order, KERNEL_RING.num_vars)
-        pa, pb = pk.pack(a), pk.pack(b)
+        pa, pb = pack(pk, a), pack(pk, b)
         assert pk.unpack(pa) == a and pk.unpack(pb) == b
         assert pk.degree(pa) == sum(a)
         # the guard-bit divisibility test of the reference linear scan
@@ -607,22 +632,22 @@ class TestPackedKernel:
         assert coprime is all(min(x, y) == 0 for x, y in zip(a, b))
         assert (pk.key(pa) > pk.key(pb)) is (order.key(a) > order.key(b))
         assert (pk.key(pa) == pk.key(pb)) is (a == b)
-        # a run on homogeneous pairs compares only monomials of one degree,
-        # and an inhomogeneous generator makes the packing compare keys
+        # a run on homogeneous pairs compares only monomials of one degree
         c = a[::-1]
-        assert pk.above(pa, pk.pack(c)) is (order.key(a) > order.key(c))
-        pk.pairs([Binomial(a, b)])
-        assert pk.above(pa, pb) is (order.key(a) > order.key(b))
+        assert pk.above(pa, pack(pk, c)) is (order.key(a) > order.key(c))
 
     def test_one_variable(self):
         # a one-byte packing unpacks to a 1-tuple
         order = TermOrder("lex", (0,), graded=False)
-        assert reduced_groebner([Binomial((3,), (1,))], order) == (Binomial((3,), (1,)),)
+        assert groebner_reference([Binomial((3,), (1,))], order) == (Binomial((3,), (1,)),)
 
-    def test_exponent_past_the_limit_in_the_input(self):
-        order = TermOrder("lex", (0, 1), graded=False)
-        with pytest.raises(ResourceGuard):
-            buchberger([Binomial((LIMIT, 0), (0, 1))], order)
+    def test_graded_reference_refuses_inhomogeneous_input(self):
+        # the engine compares a graded order's ints only within one degree
+        order = KERNEL_RING.grevlex_last(0)
+        x1, y = unit(KERNEL_RING, "x1"), unit(KERNEL_RING, "y[1,3]")
+        with pytest.raises(ValueError, match="not homogeneous"):
+            groebner_reference([Binomial(tuple(2 * e for e in x1), y)], order)
+        assert groebner_reference([Binomial(x1, y)], order) == (Binomial(y, x1),)
 
     def test_exponent_past_the_limit_during_reduction(self):
         # lex x > y: the pair x - y^100, x^2 - y gives x*y^100 - y, whose
@@ -630,13 +655,15 @@ class TestPackedKernel:
         order = TermOrder("lex", (0, 1), graded=False)
         gens = [Binomial((1, 0), (0, 100)), Binomial((2, 0), (0, 1))]
         with pytest.raises(ResourceGuard):
-            buchberger(gens, order)
+            groebner_reference(gens, order, reduced=False)
         # well below the limit the same pair has a basis
         small = [Binomial((1, 0), (0, 10)), Binomial((2, 0), (0, 1))]
-        assert reduced_groebner(small, order)
+        assert groebner_reference(small, order)
 
 
 small_vector = st.tuples(*[st.integers(0, 2)] * KERNEL_RING.num_vars)
+# the leads of a run: homogeneous binomials with distinct sides have no lead 1
+lead_vector = small_vector.filter(any)
 
 
 class TestLeadIndex:
@@ -649,16 +676,16 @@ class TestLeadIndex:
             index.add(g)
         return index
 
-    @given(kernel_order, st.lists(small_vector, min_size=1, max_size=14),
+    @given(kernel_order, st.lists(lead_vector, min_size=1, max_size=14),
            st.lists(st.integers(0, 13), max_size=4), st.lists(small_vector, max_size=6))
     @settings(max_examples=300, deadline=None)
     def test_same_index_as_the_linear_scan(self, order, vectors, repeats, others):
         pk = rees_mod._Packing(order, KERNEL_RING.num_vars)
-        leads = [pk.pack(a) for a in vectors]
+        leads = [pack(pk, a) for a in vectors]
         leads += [leads[r % len(leads)] for r in repeats]
         index = self.index_of(pk, leads)
         # every lead as the monomial, random ones, 1 and a multiple of all
-        for m in [*leads, *map(pk.pack, others), 0, pk.pack((6,) * KERNEL_RING.num_vars)]:
+        for m in [*leads, *(pack(pk, a) for a in others), 0, pack(pk, (6,) * KERNEL_RING.num_vars)]:
             assert index.divisor(m) == first_divisor(m, leads, pk.guard)
 
     @pytest.mark.parametrize("order", [KERNEL_RING.edge_lex(), KERNEL_RING.grevlex_last(0)],
@@ -668,7 +695,7 @@ class TestLeadIndex:
         v, w = pk.seq[-1], pk.seq[0]  # the variables in the lowest and the top byte
 
         def monomial(*vs):
-            return pk.pack(tuple(vs.count(j) for j in range(KERNEL_RING.num_vars)))
+            return pack(pk, tuple(vs.count(j) for j in range(KERNEL_RING.num_vars)))
 
         leads = [monomial(v, w), monomial(v, v), monomial(v), monomial(v)]
         index = self.index_of(pk, leads)
@@ -678,19 +705,12 @@ class TestLeadIndex:
         assert index.divisor(monomial(w, w)) == -1
         assert index.divisor(0) == -1
 
-    def test_the_lead_one_divides_everything(self):
-        pk = rees_mod._Packing(KERNEL_RING.edge_lex(), KERNEL_RING.num_vars)
-        leads = [pk.pack((1,) + (0,) * 9), 0, 0]
-        index = self.index_of(pk, leads)
-        for m in (0, leads[0], pk.pack((0, 2) + (0,) * 8)):
-            assert index.divisor(m) == first_divisor(m, leads, pk.guard)
-
 
 class TestReducedGroebner:
     def test_single_binomial_is_returned(self):
         ring = ReesRing.from_ideal(m_squared())
         g = named_binomial(ring, ("y[1,1]", "y[2,2]"), ("y[1,2]", "y[1,2]"))
-        got = reduced_groebner([g], ring.edge_lex())
+        got = groebner_reference([g], ring.edge_lex())
         assert got == (g,)
 
     def test_input_order_invariance(self):
@@ -702,7 +722,7 @@ class TestReducedGroebner:
             gens = list(baseline)
             for _ in range(3):
                 rng.shuffle(gens)
-                again = reduced_groebner(gens, ring.edge_lex())
+                again = groebner_reference(gens, ring.edge_lex())
                 assert set(again) == set(baseline)
 
     def test_leads_pairwise_non_dividing(self):
@@ -715,7 +735,7 @@ class TestReducedGroebner:
         # and both orders see the same toric ideal
         ring = ReesRing.from_ideal(m_squared())
         lex = toric_ideal_basis(m_squared()).elements
-        grv = reduced_groebner(lex, ring.grevlex_last(0))
+        grv = groebner_reference(lex, ring.grevlex_last(0))
         graver = graver_basis(ring)
         assert {orientation_free(g) for g in lex} <= graver
         assert {orientation_free(g) for g in grv} <= graver

@@ -45,3 +45,46 @@ def test_work_bounds_are_not_parameters(path):
         if arg.arg in ("budget", "budget_limit") or arg.arg.endswith(("_budget", "_cap"))
     ]
     assert not found, f"{path.name}: work bounds as parameters: {found}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# where a public function of linres may be called from: the package
+# itself (its re-exports aside), the demos, the benchmark and the
+# acceptance gates; a function only tests call belongs under tests/
+CALLERS = [*(p for p in SOURCES if p.name != "__init__.py"),
+           *sorted((ROOT / "demos").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+
+def referenced_names(tree, skip=None):
+    """Every name and attribute read in tree, outside the subtree skip."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in CALLERS}
+    names = {path: referenced_names(tree) for path, tree in trees.items()}
+    uncalled = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        elsewhere = set().union(*(v for p, v in names.items() if p != path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            # the function's own body is no caller of it
+            within = referenced_names(tree, skip=node) if path in names else set()
+            if node.name not in elsewhere | within:
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert not uncalled, f"public functions without a caller: {uncalled}"
