@@ -104,9 +104,6 @@ class FieldSpec:
             return rank_over_q(rows)
         return rank_mod_p(rows, self.p)
 
-    def __str__(self) -> str:
-        return self.label
-
 
 QQ = FieldSpec(None)
 GF2 = FieldSpec(2)
@@ -116,13 +113,9 @@ GF2 = FieldSpec(2)
 class BettiTable:
     """Graded Betti numbers beta_{i,j} of an ideal (i homological, j internal)."""
 
-    n: int
     field: FieldSpec
     entries: dict[tuple[int, int], int]
     gen_degree: int | None
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
 
     def items_sorted(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.entries.items())
@@ -471,7 +464,7 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
             for i, h in dims.items():
                 entries[(i, j)] = entries.get((i, j), 0) + h * count
     return {
-        f.label: BettiTable(n=n, field=f, entries=entries, gen_degree=ideal.degree)
+        f.label: BettiTable(field=f, entries=entries, gen_degree=ideal.degree)
         for f, entries in zip(fields, tables)
     }
 
@@ -523,7 +516,7 @@ def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
             i = j - k - 2
             if i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h
-    return BettiTable(n=n, field=field, entries=entries, gen_degree=ideal.degree)
+    return BettiTable(field=field, entries=entries, gen_degree=ideal.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -91,17 +90,10 @@ def _is_json_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def graph_from_json(obj: str | bytes | dict) -> Graph:
-    """Build a graph from {"n": ..., "edges": [[i, j], ...], "loops": [i, ...]}.
-
-    Accepts the dict directly or a JSON string.  Vertex range and edge shape
-    errors surface as InputError.
-    """
-    if isinstance(obj, (str, bytes)):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad graph JSON: {exc}") from exc
+def graph_from_json(obj) -> Graph:
+    """Build a graph from parsed JSON {"n": ..., "edges": [[i, j], ...],
+    "loops": [i, ...]}; any other value, a string included, and vertex
+    range and edge shape errors surface as InputError."""
     if not isinstance(obj, dict) or not _is_json_int(obj.get("n")):
         raise InputError('graph JSON needs an integer "n"')
     edges = obj.get("edges", [])
@@ -252,6 +244,13 @@ def is_chordal(graph: Graph) -> Chordality:
     cycle = find_chordless_cycle(g)
     if cycle is None:
         raise Falsification("MCS order failed PEO check but no chordless cycle was found")
+    # re-checked edge by edge: consecutive vertices adjacent, wrap-around
+    # included, and no other pair of the distinct vertices adjacent
+    m = len(cycle)
+    if m < 4 or len(set(cycle)) != m or any(
+            g.has_edge(cycle[i], cycle[j]) != (j - i in (1, m - 1))
+            for i, j in itertools.combinations(range(m), 2)):
+        raise Falsification(f"{cycle} is no chordless cycle of length >= 4")
     return Chordality(False, chordless_cycle=cycle)
 
 
@@ -336,12 +335,10 @@ def _refuse_unless_chordal(cert: Chordality, refusal: str) -> None:
         raise PreconditionError(f"{refusal} {cert.chordless_cycle}", witness=cert.chordless_cycle)
 
 
-def is_leaf(complex_: SimplicialComplex, facet_index: int, among=None) -> bool:
-    """Is facets[facet_index] a leaf: some branch facet contains every
-    intersection of the others with it?  A sole facet is a leaf."""
+def is_leaf(complex_: SimplicialComplex, facet_index: int, among) -> bool:
+    """Is facets[facet_index] a leaf of the facets indexed by *among*: some
+    branch facet contains every intersection of the others with it?"""
     facets = complex_.facets
-    if among is None:
-        among = range(len(facets))
     f = facets[facet_index]
     others = [facets[i] for i in among if i != facet_index]
     if not others:
@@ -507,8 +504,6 @@ def check_free_vertex_squares(ideal: MonomialIdeal) -> CheckResult:
     two square indices.  Witnesses: ("not_free", i) or
     ("shared_facet", i, j, facet-as-sorted-tuple)."""
     graph = graph_of_ideal(ideal)
-    if not graph.loops:
-        return CheckResult(True)
     comp = complement(graph.simple())
     cert = is_chordal(comp)
     return _free_vertex_squares(graph.loops, cert, clique_complex(comp, cert.peo) if cert else None)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter, le
@@ -45,8 +44,6 @@ class Monomial:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.exps, tuple):
-            object.__setattr__(self, "exps", tuple(self.exps))
         exps = self.exps
         if not all(map(isinstance, exps, itertools.repeat(int))) or (exps and min(exps) < 0):
             raise InputError(f"exponents must be non-negative integers, got {self.exps}")
@@ -357,12 +354,8 @@ def format_monomial(m: Monomial, variables: list[str]) -> str:
 
 
 def ideal_from_json(obj) -> tuple[MonomialIdeal, list[str]]:
-    """Read ``{"variables": [...], "generators": [...]}`` (dict or JSON text)."""
-    if isinstance(obj, (str, bytes)):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {exc}") from None
+    """Read ``{"variables": [...], "generators": [...]}`` from parsed JSON;
+    any other value, a string included, is an InputError."""
     if not isinstance(obj, dict) or "variables" not in obj or "generators" not in obj:
         raise InputError('ideal JSON needs keys "variables" and "generators"')
     variables = obj["variables"]
@@ -377,13 +370,12 @@ def ideal_from_json(obj) -> tuple[MonomialIdeal, list[str]]:
     return MonomialIdeal(len(variables), tuple(gens)), list(variables)
 
 
-def ideal_to_json(ideal: MonomialIdeal, variables: list[str] | None = None) -> dict:
-    names = variables if variables is not None else default_names(ideal.n)
-    if len(names) != ideal.n:
+def ideal_to_json(ideal: MonomialIdeal, variables: list[str]) -> dict:
+    if len(variables) != ideal.n:
         raise InputError("variable list does not match ideal")
     return {
-        "variables": list(names),
-        "generators": [format_monomial(g, names) for g in ideal.gens],
+        "variables": list(variables),
+        "generators": [format_monomial(g, variables) for g in ideal.gens],
     }
 
 

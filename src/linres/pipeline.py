@@ -50,13 +50,9 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 def plain(x):
-    """Make witnesses JSON-friendly: sets become sorted lists, tuples lists."""
-    if isinstance(x, (frozenset, set)):
-        return sorted(plain(v) for v in x)
+    """A witness (None, or a tuple of ints, strings and tuples) as JSON."""
     if isinstance(x, (tuple, list)):
         return [plain(v) for v in x]
-    if isinstance(x, monomials.Monomial):
-        return str(x)
     return x
 
 

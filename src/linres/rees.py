@@ -60,15 +60,9 @@ class Binomial:
     lead: tuple[int, ...]
     tail: tuple[int, ...]
 
-    def vector(self) -> tuple[int, ...]:
-        return tuple(x - y for x, y in zip(self.lead, self.tail))
-
     def x_degree(self, n: int) -> int:
         """Largest total degree in the first n variables on either side."""
         return max(sum(self.lead[:n]), sum(self.tail[:n]))
-
-    def coprime_sides(self) -> bool:
-        return all(min(x, y) == 0 for x, y in zip(self.lead, self.tail))
 
 
 def _norm_pair(u: tuple[int, ...], v: tuple[int, ...]):
@@ -174,14 +168,21 @@ class ReesRing:
         each group member m after the first m0 gives m0 - m.  Two distinct
         columns never coincide, so the sides of each pair are coprime.
         Each column is the sum of two unit vectors, the ends of an edge of
-        the cone graph (ends); the image of x_i x_j is keyed by the int with
-        3 bits per vertex that sums the ends of both, no count exceeding 4.
+        the cone graph (ends); the image of a product of two variables is
+        keyed by the int with one base-5 digit per vertex that sums the ends
+        of both, no count exceeding 4.  Powers of 5 do not cycle modulo the
+        Mersenne prime that Python hashes ints by, as powers of 2 do, so
+        the keys of wide rings spread over the hash table.  The products
+        x_i x_j of two x-variables are skipped: only they put the apex n + 1
+        twice in their image, and x_i x_j -> {i, j} is one-to-one, so each
+        is alone in its group.
         """
-        image = [(1 << 3 * a) + (1 << 3 * b) for a, b in self.ends]
+        n = self.n
+        image = [5 ** a + 5 ** b for a, b in self.ends]
         groups: dict[int, int] = {}
         out = []
         for i, (ui, ci) in enumerate(zip(unit, image)):
-            for uj, cj in zip(unit[i:], image[i:]):
+            for uj, cj in zip(unit[max(i, n):], image[max(i, n):]):
                 m = ui + uj
                 m0 = groups.setdefault(ci + cj, m)
                 if m0 != m:
@@ -327,13 +328,11 @@ class _Packing:
             raise ResourceGuard(f"buchberger: an exponent reached {_LIMIT}")
 
     def oriented(self, pairs) -> list[tuple[int, int]]:
-        """The packed pairs oriented and deduplicated, zeros dropped."""
+        """The packed nonzero pairs oriented and deduplicated."""
         out = []
         seen = set()
         above = self.above
         for u, t in pairs:
-            if u == t:
-                continue
             if above(t, u):
                 u, t = t, u
             if (u, t) not in seen:
@@ -825,8 +824,6 @@ def realize_walk(ring: ReesRing, b: Binomial) -> tuple[int, ...] | None:
     the total degree of b and stays tiny for reduced-basis elements,
     independent of how dense the cone graph is.
     """
-    if sum(b.lead) != sum(b.tail):
-        return None
     ends = ring.ends
     total = sum(b.lead) + sum(b.tail)
     first = min(v for v, e in enumerate(b.lead) if e)

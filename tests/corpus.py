@@ -274,7 +274,7 @@ def brute_koszul_betti(ideal: MonomialIdeal, field) -> BettiTable:
         for k, h in homology_dims(faces, field).items():
             key = (k + 1, sum(a))
             entries[key] = entries.get(key, 0) + h
-    return BettiTable(n=ideal.n, field=field, entries=entries, gen_degree=ideal.degree)
+    return BettiTable(field=field, entries=entries, gen_degree=ideal.degree)
 
 
 def lattice_basis_reference(ring):

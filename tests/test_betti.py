@@ -581,7 +581,7 @@ class TestVerdicts:
     def test_generator_count_in_degree_row(self):
         for ideal in (sturmfels_ideal(), ideal_of(3, (1, 1), (1, 2))):
             table = koszul_betti(ideal)
-            assert table.get(0, ideal.degree) == ideal.num_gens
+            assert table.entries[(0, ideal.degree)] == ideal.num_gens
 
 
 class TestPolarizationInvariance:

@@ -306,6 +306,15 @@ class TestChordal:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and message in err
 
+    def test_cycle_with_a_chord_exits_three(self, capsys, monkeypatch, tmp_path):
+        import linres.graphs as graphs_mod
+
+        path = write_json(tmp_path, "c5.json",
+                          {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5], [1, 3]]})
+        monkeypatch.setattr(graphs_mod, "find_chordless_cycle", lambda _: (1, 2, 3, 4, 5))
+        rc, out, err = run(capsys, "chordal", path)
+        assert rc == 3 and out == "" and "falsification:" in err
+
 
 class TestGroebner:
     def test_square_block_basis(self, capsys, msq):
@@ -429,6 +438,17 @@ class TestExitCodes:
         p.write_text("{oops")
         rc, out, err = run(capsys, "analyze", str(p))
         assert rc == 2 and "not valid JSON" in err
+
+    @pytest.mark.parametrize("command, obj, message", [
+        ("analyze", {"variables": ["x", "y"], "generators": ["x*y"]},
+         'ideal JSON needs keys "variables" and "generators"'),
+        ("chordal", {"n": 2, "edges": [[1, 2]]}, 'graph JSON needs an integer "n"'),
+    ], ids=["ideal", "graph"])
+    def test_doubly_encoded_file(self, capsys, tmp_path, command, obj, message):
+        # a file whose JSON value is the JSON text of an input is decoded once, to a string
+        rc, out, err = run(capsys, command, write_json(tmp_path, "twice.json", json.dumps(obj)))
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and message in err
 
     def test_unit_generator(self, capsys, tmp_path):
         path = write_ideal(tmp_path, "unit.json", ["x1"], ["1"])

@@ -11,7 +11,8 @@ from corpus import (
     ideal_of,
     square_straddle_ideal,
 )
-from linres.errors import InputError, PreconditionError
+import linres.graphs as graphs_mod
+from linres.errors import Falsification, InputError, PreconditionError
 from linres.graphs import (
     Graph,
     SimplicialComplex,
@@ -67,11 +68,16 @@ class TestGraphBasics:
     def test_json_round_trip(self):
         graph = g(4, (1, 2), (3, 4), loops=(2,))
         blob = json.dumps(graph_to_json(graph))
-        assert graph_from_json(blob) == graph
+        assert graph_from_json(json.loads(blob)) == graph
 
     def test_json_validation(self):
         with pytest.raises(InputError):
             graph_from_json({"n": 2, "edges": [[1, 2, 3]]})
+
+    def test_json_text_is_no_graph(self):
+        # JSON is decoded once, by the caller: a string is a value of the wrong shape
+        with pytest.raises(InputError, match='graph JSON needs an integer "n"'):
+            graph_from_json(json.dumps({"n": 2, "edges": [[1, 2]]}))
 
 
 class TestIdealGraphDictionary:
@@ -179,6 +185,15 @@ class TestChordality:
                     if (b - a) % k not in (1, k - 1):
                         assert not graph.has_edge(cycle[a], cycle[b])
 
+    @pytest.mark.parametrize("cycle", [(1, 2, 3, 4, 5), (1, 3, 4), (1, 3, 4, 5, 1), (1, 4, 3, 5)],
+                             ids=["chord", "short", "repeat", "gap"])
+    def test_a_bad_cycle_is_a_falsification(self, monkeypatch, cycle):
+        # the 5-cycle with the chord 13 holds the chordless cycle 1-3-4-5
+        graph = g(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3))
+        monkeypatch.setattr(graphs_mod, "find_chordless_cycle", lambda _: cycle)
+        with pytest.raises(Falsification, match="no chordless cycle"):
+            is_chordal(graph)
+
 
 class TestCliqueComplex:
     def test_triangle(self):
@@ -227,13 +242,14 @@ class TestLeavesAndOrders:
 
     def test_single_facet_is_leaf(self):
         cx = SimplicialComplex(3, (frozenset({1, 2, 3}),))
-        assert is_leaf(cx, 0)
+        assert is_leaf(cx, 0, among=[0])
 
     def test_middle_of_path_is_not_a_leaf(self):
         # facets sort as {1,2}, {2,3}, {3,4}
-        assert not is_leaf(self.path_complex, 1)
-        assert is_leaf(self.path_complex, 0)
-        assert is_leaf(self.path_complex, 2)
+        every = range(len(self.path_complex.facets))
+        assert not is_leaf(self.path_complex, 1, among=every)
+        assert is_leaf(self.path_complex, 0, among=every)
+        assert is_leaf(self.path_complex, 2, among=every)
 
     def test_path_has_leaf_order(self):
         order = leaf_order(self.path_complex)

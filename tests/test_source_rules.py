@@ -57,19 +57,25 @@ CALLERS = [*(p for p in SOURCES if p.name != "__init__.py"),
            ROOT / "tests" / "test_acceptance.py"]
 
 
-def referenced_names(tree, skip=None):
-    """Every name and attribute read in tree, outside the subtree skip."""
-    out, stack = set(), [tree]
+def nodes_outside(tree, skip=None):
+    """Every node of tree outside the subtree skip."""
+    stack = [tree]
     while stack:
         node = stack.pop()
-        if node is skip:
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def read_attributes(tree, skip=None):
+    """Every attribute read in tree, outside the subtree skip."""
+    return {node.attr for node in nodes_outside(tree, skip) if isinstance(node, ast.Attribute)}
+
+
+def referenced_names(tree, skip=None):
+    """Every name and attribute read in tree, outside the subtree skip."""
+    return read_attributes(tree, skip) | {
+        node.id for node in nodes_outside(tree, skip) if isinstance(node, ast.Name)}
 
 
 def test_every_public_function_has_a_caller():
@@ -88,3 +94,25 @@ def test_every_public_function_has_a_caller():
             if node.name not in elsewhere | within:
                 uncalled.append(f"{path.stem}.{node.name}")
     assert not uncalled, f"public functions without a caller: {uncalled}"
+
+
+def test_every_public_method_has_a_caller():
+    # the same rule for the methods and properties of linres's classes,
+    # matched by attribute name; dunders are the language's to call
+    attrs = {path: read_attributes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             for path in CALLERS}
+    uncalled = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        elsewhere = set().union(*(v for p, v in attrs.items() if p != path))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("_")):
+                    continue
+                within = read_attributes(tree, skip=node) if path in attrs else set()
+                if node.name not in elsewhere | within:
+                    uncalled.append(f"{path.stem}.{cls.name}.{node.name}")
+    assert not uncalled, f"public methods without a caller: {uncalled}"
