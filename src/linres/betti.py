@@ -23,8 +23,13 @@ a leaf reads one face mask per class straight off its parent's classes
 coordinate: the smaller is never a facet).  Reduced homology is a
 function of the facet set alone, so the walk only counts its live
 multidegrees per facet set and total degree; after the walk each
-distinct facet set is taken once and added with its counts.  Nothing is
-kept from one walk to the next.
+distinct facet set is taken once and added with its counts.  A caller
+that walks several related ideals over one field list (the powers of I)
+passes one KoszulMemo to every walk, a job: a leaf's facets are a
+function of its list of face masks alone, so each distinct list is
+reduced to its facets once per job, and each distinct facet set ranked
+once per job.  A walk given no memo keeps only its own facet sets, and
+nothing outlives the job.
 
 One walk serves every requested field (koszul_tables).  A strand's two
 lowest boundary ranks come from connectivity, the same over every field:
@@ -333,7 +338,25 @@ def _strand_homology(facets: Sequence[int], fields) -> list[dict[int, int]]:
 MULTIDEGREE_CAP = 2_000_000
 
 
-def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
+class KoszulMemo:
+    """What the Koszul walks of one job share (see koszul_tables).
+
+    facets maps each leaf's list of face masks, as a tuple, to its facets
+    in decreasing order, () for a cone; homology maps a field list to the
+    strand homology over it of each facet set, as _strand_homology gives
+    it.  Both are pure functions of their keys, so one memo serves any
+    walks; it lives as long as the caller holds it, and holds an entry for
+    every distinct leaf mask list of those walks.
+    """
+
+    def __init__(self) -> None:
+        self.facets: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.homology: dict[tuple[FieldSpec, ...],
+                            dict[tuple[int, ...], list[dict[int, int]]]] = {}
+
+
+def koszul_tables(ideal: MonomialIdeal, fields,
+                  memo: KoszulMemo | None = None) -> dict[str, BettiTable]:
     """The graded Betti tables of a nonzero monomial ideal, one per field.
 
     The result maps each field's label to its table, in the order of
@@ -351,11 +374,15 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     live multidegrees per (facet set, |a|); after it, the homology of
     each distinct facet set is computed once and added with those counts,
     which is exact because K_a's reduced homology depends only on its
-    facets.  Its two lowest boundary ranks are 1 and V - c over every
-    field, since an oriented graph incidence matrix with c components has
-    rank V - c, so only faces of size >= 3 reach a matrix, listed
-    top-down from the facets.  The scan aborts with ResourceGuard, before
-    anything is scanned, when the whole box holds more multidegrees than
+    facets.  Given a *memo*, shared by the walks of one job, the walk
+    also reduces each distinct list of leaf masks to its facets once, and
+    reads and fills the memo's homology; given none, it keeps the homology
+    of its own facet sets only, and reduces every leaf.  A strand's two
+    lowest boundary ranks are 1 and V - c over every field, since an
+    oriented graph incidence matrix with c components has rank V - c, so
+    only faces of size >= 3 reach a matrix, listed top-down from the
+    facets.  The scan aborts with ResourceGuard, before anything is
+    scanned, when the whole box holds more multidegrees than
     MULTIDEGREE_CAP.
     """
     if ideal.is_zero():
@@ -408,6 +435,7 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
     # masks, which contains mask, so the facets are the same.  tally counts
     # the live leaves per (facets, |a|); the homology of each distinct
     # facet set is taken once, after the walk.
+    known = None if memo is None else memo.facets
     tally: dict[tuple[tuple[int, ...], int], int] = {}
     # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
     a = [-1] * n
@@ -449,14 +477,20 @@ def koszul_tables(ideal: MonomialIdeal, fields) -> dict[str, BettiTable]:
                 masks.append(mask | bit)
             elif gens & d:
                 masks.append(mask)
-        facets = _maximal_faces(masks)
+        if known is None:
+            facets = _maximal_faces(masks)
+        else:
+            key = tuple(masks)
+            facets = known.get(key)
+            if facets is None:
+                facets = known[key] = tuple(_maximal_faces(masks))
         if facets:
             # _maximal_faces lists the facets in decreasing order, so the
             # tuple names the facet set
             key = (tuple(facets), sum(a))
             tally[key] = tally.get(key, 0) + 1
     tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
-    homology: dict[tuple[int, ...], list[dict[int, int]]] = {}
+    homology = {} if memo is None else memo.homology.setdefault(tuple(fields), {})
     for (facets, j), count in tally.items():
         if facets not in homology:
             homology[facets] = _strand_homology(facets, fields)
@@ -544,11 +578,13 @@ def check_polarization(ideal: MonomialIdeal, *tables: BettiTable) -> None:
             )
 
 
-def checked_tables(ideal: MonomialIdeal, fields=(QQ,)) -> dict[str, BettiTable]:
+def checked_tables(ideal: MonomialIdeal, fields=(QQ,),
+                   memo: KoszulMemo | None = None) -> dict[str, BettiTable]:
     """The Koszul tables of I over *fields* (see koszul_tables), after the
     polarization cross-check; one walk of I and at most one of its
-    polarization serve every field."""
-    tables = koszul_tables(ideal, fields)
+    polarization serve every field, and the walk of I reads and fills
+    *memo* when given."""
+    tables = koszul_tables(ideal, fields, memo)
     check_polarization(ideal, *tables.values())
     return tables
 
@@ -582,11 +618,14 @@ def powers_linear_report(
     *certify*, when given, is called as certify(k, I^k) for every k >= 2
     before any walk; when it returns True it has proved I^k linear over
     every field, and the record says so with no walk.  Every other power
-    is walked once for all the fields.  The product cap of MonomialIdeal.power
-    guards building I^k (its seconds count too), and the multidegree cap the
-    Koszul scan; when either trips, that power's record carries the abort and
-    no verdicts (num_gens None if I^k was never built), and the remaining
-    powers are skipped (they can only be larger).
+    is walked once for all the fields, and all these walks share one
+    KoszulMemo, so a leaf mask list or a facet set met in an earlier
+    power is not reduced or ranked again.  The product cap of
+    MonomialIdeal.power guards building I^k (its seconds count too), and
+    the multidegree cap the Koszul scan; when either trips, that power's
+    record carries the abort and no verdicts (num_gens None if I^k was
+    never built), and the remaining powers are skipped (they can only be
+    larger).
     """
     if ideal.is_zero():
         raise InputError("powers of the zero ideal are not informative")
@@ -594,6 +633,7 @@ def powers_linear_report(
         raise InputError(f"max_power must be >= 1, got {max_power}")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
+    memo = KoszulMemo()
     out = []
     for k in range(1, max_power + 1):
         record: dict = {"k": k, "num_gens": None, "linear": {}}
@@ -605,7 +645,7 @@ def powers_linear_report(
             if k > 1 and certify is not None and certify(k, power):
                 record["linear"] = {f.label: True for f in fields}
             else:
-                checked = tables if k == 1 and tables else checked_tables(power, fields)
+                checked = tables if k == 1 and tables else checked_tables(power, fields, memo)
                 for f in fields:
                     record["linear"][f.label] = checked[f.label].is_linear
         except ResourceGuard as exc:

@@ -4,7 +4,8 @@ Seven subcommands over JSON ideal/graph files: `analyze` prints the
 cross-checked report of linres.pipeline, the rest expose the individual
 stages.  Exit codes: 0 for a completed run (negative verdicts included),
 2 for input or resource problems, 3 when two routes that must agree
-disagree or any other internal error escapes.
+disagree or any other internal error escapes.  With --json a
+disagreement also prints {"command", "falsification"} on stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import sys
 import traceback
 
 from . import pipeline
-from .betti import GF2, QQ, FieldSpec, koszul_tables, powers_linear_report
+from .betti import (
+    GF2,
+    QQ,
+    FieldSpec,
+    check_polarization,
+    koszul_tables,
+    powers_linear_report,
+)
 from .errors import (
     BudgetExhausted,
     Falsification,
@@ -210,9 +218,18 @@ def cmd_betti(args) -> tuple[dict, list[str]]:
     fields = _parse_fields(args.field)
     report = {"command": "betti", "input": ideal_to_json(ideal, names), "tables": {}}
     lines = [f"ideal: {_ideal_blurb(ideal)}"]
-    for label, table in koszul_tables(ideal, fields).items():
+    tables = koszul_tables(ideal, fields)
+    for label, table in tables.items():
         shown = report["tables"][label] = table.to_json()
         lines.extend(_table_lines(label, shown))
+    try:
+        check_polarization(ideal, *tables.values())
+    except ResourceGuard as exc:
+        # s squares take the box from 3^s 2^(n-s) to 2^(n+s), which can pass
+        # the cap when the ideal's own box does not; the walk of the
+        # polarization aborts before it scans anything
+        report["polarization"] = f"not checked: {exc}"
+        lines.append(f"polarization: not checked: {exc}")
     return report, lines
 
 
@@ -434,6 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         report, lines = args.func(args)
     except Falsification as exc:
         print(f"falsification: {exc}", file=sys.stderr)
+        if args.json:
+            print(json.dumps({"command": args.subcommand, "falsification": str(exc)}, indent=2))
         return 3
     except (InputError, PreconditionError, BudgetExhausted, ResourceGuard) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -200,6 +200,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     # stage 2: quasi-tree labeling and the generator conditions; the
     # labeling and the free-vertex check read stage 1's certificate and
     # the clique complex of its perfect elimination order
+    t0 = time.perf_counter()
     labeling = cx = None
     relabeled = ideal
     if chord.is_chordal:
@@ -218,6 +219,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     except PreconditionError as exc:
         fv = None
         conditions["free_vertex_squares"] = {"applicable": False, "reason": str(exc)}
+    timings["labeling"] = round(time.perf_counter() - t0, 3)
     report["conditions"] = conditions
 
     # stage 3: a linear-quotients order, by construction when the conditions

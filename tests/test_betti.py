@@ -266,26 +266,85 @@ class TestKoszulAgainstBruteForce:
             assert len(calls) == len(set(calls)) == len(set(live))
             assert set(calls) == set(live)
 
+    POWERS_IDEALS = (sturmfels_ideal, terai_ideal, lambda: co_path(6), lambda: co_cycle(6))
+
     def test_work_counts_of_the_powers_walks(self, monkeypatch):
-        # Sturmfels, Terai, co-P6 and co-C6 at k <= 3, as powers_linear_report
-        # walks them: the leaves that are not cones, and the distinct facet
-        # sets among them, each taken once.  Both counts are the same under
-        # any relabeling of the variables; the number of leaves is not.
+        # Sturmfels, Terai, co-P6 and co-C6 at k <= 3, each power walked on
+        # its own: the leaves that are not cones, and the distinct facet sets
+        # among them, each taken once per walk.  Both counts are the same
+        # under any relabeling of the variables; the number of leaves is not.
+        # The leaves are counted where they read the memo's facets table, as
+        # a walk reduces only the mask lists it has not met before.
+        calls = self.count_homology(monkeypatch)
+        leaves = live = 0
+        for build in self.POWERS_IDEALS:
+            for k in (1, 2, 3):
+                memo = betti_mod.KoszulMemo()
+                memo.facets = log = LeafLog()
+                koszul_tables(build().power(k), (QQ, GF2), memo)
+                leaves += len(log.reads)
+                live += sum(bool(log[key]) for key in log.reads)
+        assert (leaves, live) == (11186, 5378)
+        assert len(calls) == 1686
+
+    def test_a_walk_without_a_memo_keeps_no_mask_lists(self, monkeypatch):
+        # with no memo, every leaf is reduced: the walk stores facet sets
+        # only, not one entry per distinct leaf mask list
         original = betti_mod._maximal_faces
-        live = []
+        reduced = []
 
         def counting(masks):
             facets = original(masks)
-            live.append(bool(facets))
+            reduced.append(bool(facets))
             return facets
 
         monkeypatch.setattr(betti_mod, "_maximal_faces", counting)
-        calls = self.count_homology(monkeypatch)
-        for ideal in (sturmfels_ideal(), terai_ideal(), co_path(6), co_cycle(6)):
+        for build in self.POWERS_IDEALS:
             for k in (1, 2, 3):
-                koszul_tables(ideal.power(k), (QQ, GF2))
-        assert sum(live) == 5378
-        assert len(calls) == 1686
+                koszul_tables(build().power(k), (QQ, GF2))
+        assert (len(reduced), sum(reduced)) == (11186, 5378)
+
+    def test_work_counts_of_one_memo_per_ideal(self, monkeypatch):
+        # the same walks, with one memo for the powers of each ideal, as
+        # powers_linear_report shares it: each distinct leaf mask list is
+        # reduced once, and each distinct facet set is ranked once
+        original = betti_mod._maximal_faces
+        reduced = []
+
+        def counting(masks):
+            reduced.append(tuple(masks))
+            return original(masks)
+
+        monkeypatch.setattr(betti_mod, "_maximal_faces", counting)
+        calls = self.count_homology(monkeypatch)
+        for build in self.POWERS_IDEALS:
+            records = powers_linear_report(build(), (QQ, GF2), max_power=3)
+            assert [r["k"] for r in records] == [1, 2, 3]
+        assert len(reduced) == 3694
+        assert len(calls) == 1074
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        calls = self.count_homology(monkeypatch)
+        powers_linear_report(terai_ideal(), (QQ, GF2), max_power=2)
+        first = len(calls)
+        powers_linear_report(terai_ideal(), (QQ, GF2), max_power=2)
+        assert first > 0 and len(calls) == 2 * first
+
+    def test_shared_memo_gives_the_tables_of_separate_walks(self):
+        # one memo for a sample of the corpus and the squares of its
+        # ideals, walked in turn, against a walk of each with no memo
+        rng = random.Random(20261020)
+        sample = rng.sample([*squarefree_corpus(5), *square_corpus(4)], 200)
+        memo = betti_mod.KoszulMemo()
+        for ideal in sample:
+            for power in (ideal, ideal.power(2)):
+                shared = koszul_tables(power, (QQ, GF2, GF3), memo)
+                assert shared == koszul_tables(power, (QQ, GF2, GF3)), power
+        assert memo.facets and list(memo.homology) == [(QQ, GF2, GF3)]
+        # homology is kept per field list: Terai's strands differ over Q and GF(2)
+        memo = betti_mod.KoszulMemo()
+        assert koszul_tables(terai_ideal(), (QQ,), memo)["Q"].is_linear
+        assert not koszul_tables(terai_ideal(), (GF2,), memo)["GF(2)"].is_linear
 
     def test_table_digest(self):
         # pinned from the walk that read both face masks of a class at the
@@ -308,6 +367,18 @@ class TestKoszulAgainstBruteForce:
         first = len(calls)
         koszul_tables(terai_ideal().power(2), (QQ, GF2))
         assert first > 0 and len(calls) == 2 * first
+
+
+class LeafLog(dict):
+    """A KoszulMemo facets table that records the key of every read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
 
 
 def facets_met_in_walks(monkeypatch, ideals) -> set[tuple[int, ...]]:

@@ -160,6 +160,14 @@ class TestAnalyze:
         _, second = run_json(capsys, "analyze", msq)
         assert scrub(first) == scrub(second)
 
+    @pytest.mark.parametrize("fixture", ["k3", "msq", "disjoint"])
+    def test_every_quadratic_stage_is_timed(self, capsys, request, fixture):
+        rc, report = run_json(capsys, "analyze", request.getfixturevalue(fixture))
+        assert rc == 0
+        assert list(report["timings"]) == [
+            "chordal", "labeling", "quotients", "betti", "rees", "powers"]
+        assert all(isinstance(s, float) and s >= 0 for s in report["timings"].values())
+
     def test_field_selection(self, capsys, k3):
         rc, report = run_json(capsys, "analyze", k3, "--field", "Q,GF:3")
         assert rc == 0
@@ -253,6 +261,55 @@ class TestScanCount:
 
 
 class TestBetti:
+    def test_squares_walk_the_ideal_and_its_polarization_once_each(self, capsys,
+                                                                   monkeypatch, msq):
+        import linres.betti as betti_mod
+
+        original = betti_mod.koszul_tables
+        seen = []
+
+        def counting(ideal, fields, *args, **kwargs):
+            seen.append(ideal)
+            return original(ideal, fields, *args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if (name == "linres" or name.startswith("linres.")) \
+                    and getattr(mod, "koszul_tables", None) is original:
+                monkeypatch.setattr(mod, "koszul_tables", counting)
+        rc, report = run_json(capsys, "betti", msq)
+        assert rc == 0
+        ideal = seen[0]
+        assert seen == [ideal, ideal.polarize()] and not ideal.is_squarefree()
+        assert report["tables"]["Q"]["entries"] == [
+            {"i": 0, "j": 2, "beta": 3}, {"i": 1, "j": 3, "beta": 2}]
+        assert "polarization" not in report
+
+    def test_polarization_over_the_cap_is_not_checked(self, capsys, monkeypatch, tmp_path):
+        # one square among n variables: the ideal's box is 3 * 2^(n-1) and
+        # its polarization's 2^(n+1), so at n = 20 only the polarization
+        # passes the cap; a walk of that size takes minutes, so the cap is
+        # moved to the same place for n = 4, between 24 and 32
+        import linres.betti as betti_mod
+
+        assert 3 * 2**19 <= betti_mod.MULTIDEGREE_CAP < 2**21
+        path = write_ideal(tmp_path, "sq.json", ["x1", "x2", "x3", "x4"],
+                           ["x1^2", "x1*x2", "x3*x4"])
+        rc, checked = run_json(capsys, "betti", path)
+        assert rc == 0 and "polarization" not in checked
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 32)
+        rc, report = run_json(capsys, "betti", path)
+        assert rc == 0 and report == checked
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 24)
+        rc, report = run_json(capsys, "betti", path)
+        assert rc == 0
+        assert report.pop("polarization") == (
+            "not checked: 32 candidate multidegrees exceed the cap 24")
+        assert report == checked
+        rc, out, err = run(capsys, "betti", path)
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == (
+            "polarization: not checked: 32 candidate multidegrees exceed the cap 24")
+
     def test_characteristic_gap(self, capsys, tmp_path):
         gens = ["a*b*d", "a*b*f", "a*c*e", "a*c*d", "a*e*f",
                 "b*d*e", "b*c*f", "b*c*e", "c*d*f", "d*e*f"]
@@ -510,7 +567,31 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "koszul_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
-        assert rc == 3 and "falsification:" in err
+        assert rc == 3 and out == "" and "falsification:" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "betti"])
+    def test_falsification_under_json_prints_a_record(self, capsys, monkeypatch, msq,
+                                                      command):
+        import linres.betti as betti_mod
+
+        original = betti_mod.koszul_tables
+
+        def split(ideal, fields, *args, **kwargs):
+            # the polarization's walk gains a Betti number the ideal lacks
+            tables = original(ideal, fields, *args, **kwargs)
+            if ideal.is_squarefree():
+                for table in tables.values():
+                    table.entries[(9, 9)] = 1
+            return tables
+
+        monkeypatch.setattr(betti_mod, "koszul_tables", split)
+        rc, out, err = run(capsys, command, msq, "--json")
+        assert rc == 3
+        assert err.startswith("falsification: polarization changed the Betti table")
+        record = json.loads(out)
+        assert list(record) == ["command", "falsification"]
+        assert record["command"] == command
+        assert err == f"falsification: {record['falsification']}\n"
 
 
 NAMES = ["a", "b", "c", "x1", "x2"]
