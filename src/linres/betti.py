@@ -23,13 +23,16 @@ a leaf reads one face mask per class straight off its parent's classes
 coordinate: the smaller is never a facet).  Reduced homology is a
 function of the facet set alone, so the walk only counts its live
 multidegrees per facet set and total degree; after the walk each
-distinct facet set is taken once and added with its counts.  A caller
-that walks several related ideals over one field list (the powers of I)
-passes one KoszulMemo to every walk, a job: a leaf's facets are a
-function of its list of face masks alone, so each distinct list is
-reduced to its facets once per job, and each distinct facet set ranked
-once per job.  A walk given no memo keeps only its own facet sets, and
-nothing outlives the job.
+distinct facet set is taken once and added with its counts.  Every walk
+reads and fills a KoszulMemo: a leaf's facets are a function of its list
+of face masks alone, so each distinct list is reduced to its facets
+once, and each distinct facet set ranked once.  A walk on its own has a
+memo of its own; the walks of several related ideals over one field list
+(the powers of I, a job) share one.  The memo's leaf table holds at
+most LEAF_TABLE_CAP lists: a list that meets a full table is reduced
+but not kept, and the table starts over, since a leaf's list recurs
+most often at the leaves near it in the walk.  So no walk or job holds
+more than that many lists, and nothing outlives the memo.
 
 One walk serves every requested field (koszul_tables).  A strand's two
 lowest boundary ranks come from connectivity, the same over every field:
@@ -68,6 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -93,15 +97,14 @@ class FieldSpec:
 
     @staticmethod
     def parse(text: str) -> "FieldSpec":
-        """Accepts Q, GF:p, GF(p), and GFp spellings, p in ASCII digits."""
+        """Accepts Q, QQ, q, and the GF:p, GF(p) and GFp spellings in any
+        case, p in ASCII digits, with surrounding blanks."""
         t = text.strip()
         if t in ("Q", "QQ", "q"):
             return FieldSpec(None)
-        u = t.upper()
-        if u.startswith("GF"):
-            body = u[2:].strip(":()")
-            if body.isascii() and body.isdigit():
-                return FieldSpec(int(body))
+        m = re.fullmatch(r"gf(?::(\d+)|\((\d+)\)|(\d+))", t, re.IGNORECASE | re.ASCII)
+        if m:
+            return FieldSpec(int(m[1] or m[2] or m[3]))
         raise InputError(f"cannot parse field {text!r}; use Q or GF:p")
 
     def rank(self, rows: list[list[int]]) -> int:
@@ -336,17 +339,19 @@ def _strand_homology(facets: Sequence[int], fields) -> list[dict[int, int]]:
 
 # the most multidegrees one Koszul scan may visit
 MULTIDEGREE_CAP = 2_000_000
+# the most leaf mask lists one KoszulMemo keeps
+LEAF_TABLE_CAP = 1_024
 
 
 class KoszulMemo:
-    """What the Koszul walks of one job share (see koszul_tables).
+    """What the Koszul walks of one call share (see koszul_tables).
 
     facets maps each leaf's list of face masks, as a tuple, to its facets
     in decreasing order, () for a cone; homology maps a field list to the
     strand homology over it of each facet set, as _strand_homology gives
     it.  Both are pure functions of their keys, so one memo serves any
-    walks; it lives as long as the caller holds it, and holds an entry for
-    every distinct leaf mask list of those walks.
+    walks; it lives as long as the caller holds it.  facets holds at most
+    LEAF_TABLE_CAP lists, and is emptied when full.
     """
 
     def __init__(self) -> None:
@@ -374,10 +379,12 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     live multidegrees per (facet set, |a|); after it, the homology of
     each distinct facet set is computed once and added with those counts,
     which is exact because K_a's reduced homology depends only on its
-    facets.  Given a *memo*, shared by the walks of one job, the walk
-    also reduces each distinct list of leaf masks to its facets once, and
-    reads and fills the memo's homology; given none, it keeps the homology
-    of its own facet sets only, and reduces every leaf.  A strand's two
+    facets.  The walk reads and fills *memo*, or a memo of its own when
+    given none: each distinct list of leaf masks is reduced to its facets
+    once while the memo's leaf table has room, and each distinct facet
+    set is ranked once per field list.  A list that meets a full table
+    (LEAF_TABLE_CAP lists) is reduced but not kept, and the table starts
+    over.  A strand's two
     lowest boundary ranks are 1 and V - c over every field, since an
     oriented graph incidence matrix with c components has rank V - c, so
     only faces of size >= 3 reach a matrix, listed top-down from the
@@ -435,7 +442,8 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     # masks, which contains mask, so the facets are the same.  tally counts
     # the live leaves per (facets, |a|); the homology of each distinct
     # facet set is taken once, after the walk.
-    known = None if memo is None else memo.facets
+    memo = memo or KoszulMemo()
+    known = memo.facets
     tally: dict[tuple[tuple[int, ...], int], int] = {}
     # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
     a = [-1] * n
@@ -477,20 +485,22 @@ def koszul_tables(ideal: MonomialIdeal, fields,
                 masks.append(mask | bit)
             elif gens & d:
                 masks.append(mask)
-        if known is None:
-            facets = _maximal_faces(masks)
-        else:
-            key = tuple(masks)
-            facets = known.get(key)
-            if facets is None:
-                facets = known[key] = tuple(_maximal_faces(masks))
+        key = tuple(masks)
+        facets = known.get(key)
+        if facets is None:
+            facets = tuple(_maximal_faces(masks))
+            if len(known) < LEAF_TABLE_CAP:
+                known[key] = facets
+            else:
+                # a leaf's list recurs most often at the leaves near it
+                known.clear()
         if facets:
             # _maximal_faces lists the facets in decreasing order, so the
             # tuple names the facet set
-            key = (tuple(facets), sum(a))
+            key = (facets, sum(a))
             tally[key] = tally.get(key, 0) + 1
     tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
-    homology = {} if memo is None else memo.homology.setdefault(tuple(fields), {})
+    homology = memo.homology.setdefault(tuple(fields), {})
     for (facets, j), count in tally.items():
         if facets not in homology:
             homology[facets] = _strand_homology(facets, fields)
@@ -589,6 +599,24 @@ def checked_tables(ideal: MonomialIdeal, fields=(QQ,),
     return tables
 
 
+def noted_tables(ideal: MonomialIdeal, fields) -> tuple[dict[str, BettiTable], str | None]:
+    """The Koszul tables of I over *fields*, and a note on the polarization
+    cross-check: None when it ran or does not apply, "not checked: <the
+    cap message>" when only the polarization's box passes MULTIDEGREE_CAP.
+
+    s squares take the box from 3^s 2^(n-s) to 2^(n+s), so the
+    polarization's walk can abort, before it scans anything, when the
+    walk of I did not.  A split still raises Falsification, and a walk of
+    I over the cap ResourceGuard.
+    """
+    tables = koszul_tables(ideal, fields)
+    try:
+        check_polarization(ideal, *tables.values())
+    except ResourceGuard as exc:
+        return tables, f"not checked: {exc}"
+    return tables, None
+
+
 def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ) -> bool:
     """Does the minimal free resolution of I live on a single linear strand?
 
@@ -613,14 +641,15 @@ def powers_linear_report(
     """Per-power linearity records for I, I^2, ..., I^max_power.
 
     A record carries k, the number of minimal generators, one verdict per
-    field and the seconds taken.  *tables*, when given, are the checked
-    tables of I itself, read for k = 1 instead of walking I again.
+    field and the seconds taken.  *tables*, when given, are the tables
+    of I itself, read for k = 1 instead of walking I again.
     *certify*, when given, is called as certify(k, I^k) for every k >= 2
     before any walk; when it returns True it has proved I^k linear over
     every field, and the record says so with no walk.  Every other power
     is walked once for all the fields, and all these walks share one
-    KoszulMemo, so a leaf mask list or a facet set met in an earlier
-    power is not reduced or ranked again.  The product cap of
+    KoszulMemo, so a facet set met in an earlier power is not ranked
+    again, nor a leaf mask list still in the memo's leaf table reduced
+    again (see koszul_tables).  The product cap of
     MonomialIdeal.power guards building I^k (its seconds count too), and
     the multidegree cap the Koszul scan; when either trips, that power's
     record carries the abort and no verdicts (num_gens None if I^k was

@@ -20,8 +20,7 @@ from .betti import (
     GF2,
     QQ,
     FieldSpec,
-    check_polarization,
-    koszul_tables,
+    noted_tables,
     powers_linear_report,
 )
 from .errors import (
@@ -190,6 +189,8 @@ def _analyze_lines(ideal: MonomialIdeal, report: dict, max_power: int) -> list[s
     lines.append(_quotients_line(report["linear_quotients"]))
     lines.append(_verdicts_line("linear resolution", report["linear_resolution"], _yesno))
     lines.append(_verdicts_line("regularity", report["regularity"]))
+    if "polarization" in report:
+        lines.append(f"polarization: {report['polarization']}")
     lines.append(f"powers up to k={max_power}:")
     lines.extend(_power_lines(report["powers"], report["power_routes"]))
     rees = report["rees"]
@@ -218,18 +219,13 @@ def cmd_betti(args) -> tuple[dict, list[str]]:
     fields = _parse_fields(args.field)
     report = {"command": "betti", "input": ideal_to_json(ideal, names), "tables": {}}
     lines = [f"ideal: {_ideal_blurb(ideal)}"]
-    tables = koszul_tables(ideal, fields)
+    tables, note = noted_tables(ideal, fields)
     for label, table in tables.items():
         shown = report["tables"][label] = table.to_json()
         lines.extend(_table_lines(label, shown))
-    try:
-        check_polarization(ideal, *tables.values())
-    except ResourceGuard as exc:
-        # s squares take the box from 3^s 2^(n-s) to 2^(n+s), which can pass
-        # the cap when the ideal's own box does not; the walk of the
-        # polarization aborts before it scans anything
-        report["polarization"] = f"not checked: {exc}"
-        lines.append(f"polarization: not checked: {exc}")
+    if note:
+        report["polarization"] = note
+        lines.append(f"polarization: {note}")
     return report, lines
 
 

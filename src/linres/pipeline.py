@@ -236,14 +236,16 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     report["linear_quotients"] = lq
 
     # stage 4: Betti tables, checked against the polarization when there
-    # are squares; linearity is read from them
+    # are squares and its box fits the cap; linearity is read from them
     t0 = time.perf_counter()
-    tables = betti.checked_tables(ideal, fields)
+    tables, note = betti.noted_tables(ideal, fields)
     timings["betti"] = round(time.perf_counter() - t0, 3)
     linear = {lab: t.is_linear for lab, t in tables.items()}
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
     report["linear_resolution"] = linear
     report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
+    if note:
+        report["polarization"] = note
 
     # cross-checks between the combinatorial and homological answers
     any_linear = any(linear.values())

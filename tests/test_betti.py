@@ -53,11 +53,21 @@ class TestFieldSpec:
     def test_parse_spellings(self, text):
         FieldSpec.parse(text)
 
+    @pytest.mark.parametrize("text, p", [("gf2", 2), ("Gf:3", 3), ("gf(7)", 7), (" GF:5 ", 5)])
+    def test_parse_in_any_case(self, text, p):
+        assert FieldSpec.parse(text).p == p
+
     def test_parse_rejects(self):
         with pytest.raises(InputError):
             FieldSpec.parse("R")
         with pytest.raises(InputError):
             FieldSpec(4)
+
+    @pytest.mark.parametrize("text", ["GF(2", "GF2)", "GF:(2)"])
+    def test_parse_rejects_other_spellings(self, text):
+        # the parentheses come in a pair around the digits, or not at all
+        with pytest.raises(InputError):
+            FieldSpec.parse(text)
 
     @pytest.mark.parametrize("text", ["GF\u00b2", "GF(\u0663)"])
     def test_parse_rejects_non_ascii_digits(self, text):
@@ -274,7 +284,10 @@ class TestKoszulAgainstBruteForce:
         # among them, each taken once per walk.  Both counts are the same
         # under any relabeling of the variables; the number of leaves is not.
         # The leaves are counted where they read the memo's facets table, as
-        # a walk reduces only the mask lists it has not met before.
+        # a walk reduces only the mask lists it has not met before; the
+        # table is given room for every list, so that each read key is
+        # still in it after the walk.
+        monkeypatch.setattr(betti_mod, "LEAF_TABLE_CAP", 10**6)
         calls = self.count_homology(monkeypatch)
         leaves = live = 0
         for build in self.POWERS_IDEALS:
@@ -287,22 +300,66 @@ class TestKoszulAgainstBruteForce:
         assert (leaves, live) == (11186, 5378)
         assert len(calls) == 1686
 
-    def test_a_walk_without_a_memo_keeps_no_mask_lists(self, monkeypatch):
-        # with no memo, every leaf is reduced: the walk stores facet sets
-        # only, not one entry per distinct leaf mask list
+    @staticmethod
+    def count_reductions(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+        """Patch _maximal_faces to record each call's mask list and whether
+        the leaf is live (not a cone)."""
+        calls = []
         original = betti_mod._maximal_faces
-        reduced = []
 
         def counting(masks):
+            key = tuple(masks)
             facets = original(masks)
-            reduced.append(bool(facets))
+            calls.append((key, bool(facets)))
             return facets
 
         monkeypatch.setattr(betti_mod, "_maximal_faces", counting)
+        return calls
+
+    def test_a_walk_reduces_each_distinct_leaf_mask_list_once(self, monkeypatch):
+        # the same walks with no memo given: each walk has a memo of its own,
+        # so it reduces each distinct leaf mask list once, not every leaf,
+        # while the memo's leaf table has room.  Only co-C6^3 meets more
+        # lists (1,152) than LEAF_TABLE_CAP; its table starts over once, and
+        # it reduces 60 lists again.
+        reduced = self.count_reductions(monkeypatch)
+        again = []
+        for build in self.POWERS_IDEALS:
+            for k in (1, 2, 3):
+                first = len(reduced)
+                koszul_tables(build().power(k), (QQ, GF2))
+                lists = [key for key, _ in reduced[first:]]
+                if len(set(lists)) <= betti_mod.LEAF_TABLE_CAP:
+                    assert len(lists) == len(set(lists))
+                else:
+                    again.append(len(lists) - len(set(lists)))
+        assert again == [60]
+        assert (len(reduced), sum(live for _, live in reduced)) == (4844, 2250)
+
+    @pytest.mark.parametrize("cap", [0, 16])
+    def test_leaf_table_cap(self, monkeypatch, cap):
+        # a full leaf table starts over, and the walk reduces again the
+        # lists it no longer holds: the tables stay the same, on one memo
+        # shared by many walks as on a memo per walk
+        rng = random.Random(20261020)
+        sample = rng.sample([*squarefree_corpus(5), *square_corpus(4)], 200)
+        powers = [power for ideal in sample for power in (ideal, ideal.power(2))]
+        fields = (QQ, GF2, GF3)
+        expected = [koszul_tables(power, fields) for power in powers]
+        monkeypatch.setattr(betti_mod, "LEAF_TABLE_CAP", cap)
+        memo = betti_mod.KoszulMemo()
+        for power, tables in zip(powers, expected):
+            assert koszul_tables(power, fields, memo) == tables, power
+            assert len(memo.facets) <= cap
+        # with no room at all, every leaf of the powers walks is reduced
+        reduced = self.count_reductions(monkeypatch)
         for build in self.POWERS_IDEALS:
             for k in (1, 2, 3):
                 koszul_tables(build().power(k), (QQ, GF2))
-        assert (len(reduced), sum(reduced)) == (11186, 5378)
+        if cap == 0:
+            assert (len(reduced), sum(live for _, live in reduced)) == (11186, 5378)
+        else:
+            assert 4784 < len(reduced) < 11186
 
     def test_work_counts_of_one_memo_per_ideal(self, monkeypatch):
         # the same walks, with one memo for the powers of each ideal, as
@@ -320,7 +377,7 @@ class TestKoszulAgainstBruteForce:
         for build in self.POWERS_IDEALS:
             records = powers_linear_report(build(), (QQ, GF2), max_power=3)
             assert [r["k"] for r in records] == [1, 2, 3]
-        assert len(reduced) == 3694
+        assert len(reduced) == 3794
         assert len(calls) == 1074
 
     def test_memo_lives_for_one_call(self, monkeypatch):

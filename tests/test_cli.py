@@ -229,6 +229,33 @@ class TestAnalyze:
         assert rc == 0 and err == ""
         assert "Rees relations: unknown (buchberger: exceeded 5 steps)" in out
 
+    def test_polarization_over_the_cap_is_noted(self, capsys, monkeypatch, tmp_path):
+        # x1^2, x1x2, x3x4: the ideal's box is 24 and its polarization's 32
+        # (see TestBetti.test_polarization_over_the_cap_is_not_checked);
+        # analyze notes the check it could not make, as betti does
+        import linres.betti as betti_mod
+
+        path = write_ideal(tmp_path, "sq.json", ["x1", "x2", "x3", "x4"],
+                           ["x1^2", "x1*x2", "x3*x4"])
+        rc, checked = run_json(capsys, "analyze", path)
+        assert rc == 0 and "polarization" not in checked
+        note = "not checked: 32 candidate multidegrees exceed the cap 24"
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 24)
+        rc, report = run_json(capsys, "analyze", path)
+        assert rc == 0 and report["polarization"] == note
+        for key in ("betti", "linear_resolution", "regularity"):
+            assert report[key] == checked[key]
+        # I^2 has a box of 135, so the powers stop there
+        assert report["powers"][1]["aborted"] == "135 candidate multidegrees exceed the cap 24"
+        rc, out, err = run(capsys, "analyze", path)
+        assert rc == 0 and err == ""
+        assert f"polarization: {note}" in out.splitlines()
+        # the ideal's own walk over the cap is still a resource error
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 23)
+        rc, out, err = run(capsys, "analyze", path)
+        assert rc == 2 and out == ""
+        assert "24 candidate multidegrees exceed the cap 23" in err
+
 
 class TestScanCount:
     @pytest.mark.parametrize("fixture, walks", [
@@ -536,6 +563,10 @@ class TestExitCodes:
         rc, out, err = run(capsys, "analyze", k3, "--field", "GF\u00b2")
         assert rc == 2 and "cannot parse field" in err and "Traceback" not in err
 
+    def test_unbalanced_parenthesis_in_field_exits_two(self, capsys, k3):
+        rc, out, err = run(capsys, "betti", k3, "--field", "GF(2")
+        assert rc == 2 and out == "" and "cannot parse field 'GF(2'" in err
+
     def test_modulus_beyond_exact_primality_exits_two(self, capsys, k3):
         rc, out, err = run(capsys, "analyze", k3, "--field", "GF:1000000000000000000000007")
         assert rc == 2 and "error:" in err
@@ -553,7 +584,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise KeyError("planted for the dispatcher test")
 
-        monkeypatch.setattr(cli_mod, "koszul_tables", boom)
+        monkeypatch.setattr(cli_mod, "noted_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3
         assert err.startswith("internal error:")
@@ -565,7 +596,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise Falsification("planted for the dispatcher test")
 
-        monkeypatch.setattr(cli_mod, "koszul_tables", boom)
+        monkeypatch.setattr(cli_mod, "noted_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3 and out == "" and "falsification:" in err
 
