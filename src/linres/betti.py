@@ -17,22 +17,25 @@ the generators dividing them (off the LCM lattice, where K_a is a cone),
 and strands whose facets share a vertex (again a cone).  A cone has no
 reduced homology over any field, so the skips leave the table exact.
 The face classes of the divisors are split once per node of the walk,
-as each coordinate is fixed, and shared by every multidegree below it;
-a leaf reads one face mask per class straight off its parent's classes
-(the larger one, when a class has divisors on both sides of the last
-coordinate: the smaller is never a facet).  Reduced homology is a
-function of the facet set alone, so the walk only counts its live
-multidegrees per facet set and total degree; after the walk each
-distinct facet set is taken once and added with its counts.  Every walk
-reads and fills a KoszulMemo: a leaf's facets are a function of its list
-of face masks alone, so each distinct list is reduced to its facets
-once, and each distinct facet set ranked once.  A walk on its own has a
-memo of its own; the walks of several related ideals over one field list
-(the powers of I, a job) share one.  The memo's leaf table holds at
-most LEAF_TABLE_CAP lists: a list that meets a full table is reduced
-but not kept, and the table starts over, since a leaf's list recurs
-most often at the leaves near it in the walk.  So no walk or job holds
-more than that many lists, and nothing outlives the memo.
+as each coordinate but the last is fixed, and shared by every
+multidegree below it.  The split that fixes the last but one files each
+class under e, the least exponent of the last variable among its
+divisors: the leaf at t has the masks of the classes with e < t, raised
+by the last vertex, and of those with e == t, and a t with no class at
+e == t (a cone) is never built.  Reduced homology depends only on the
+facet set, up to the names of its vertices, so the walk only counts its
+live multidegrees per facet set and total degree; after the walk each
+distinct shape (the set relabeled, see _shape) is taken once and added
+with its counts.  Every walk reads and fills a KoszulMemo: a leaf's
+facets are a function of its list of face masks alone, so each distinct
+list is reduced to its facets once, and each distinct shape ranked
+once.  A walk on its own has a memo of its own; the walks of several
+related ideals over one field list (the powers of I, a job) share one.
+The memo's leaf table holds at most LEAF_TABLE_CAP lists: a list that
+meets a full table is reduced but not kept, and the table starts over,
+since a leaf's list recurs most often at the leaves near it in the
+walk.  So no walk or job holds more than that many lists, and nothing
+outlives the memo.
 
 One walk serves every requested field (koszul_tables).  A strand's two
 lowest boundary ranks come from connectivity, the same over every field:
@@ -217,6 +220,37 @@ def _maximal_faces(masks: list[int]) -> list[int]:
     return [] if functools.reduce(operator.and_, maximal) else maximal
 
 
+def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """The facets, relabeled, in decreasing order: an isomorphic complex,
+    so one with the same reduced homology over every field.
+
+    The vertices are renumbered 0, 1, ... in the order of (the number of
+    facets holding them, position), so complexes that differ only in the
+    names of their vertices often share a shape, and a shape is its own.
+    A complex of dimension <= 1 is returned as it is: _strand_homology
+    reads its homology off counts, more cheaply than a relabel.
+    """
+    if max(map(int.bit_count, facets)) <= 2:
+        return facets
+    held: dict[int, int] = {}  # vertex bit -> the number of facets holding it
+    for f in facets:
+        while f:
+            bit = f & -f
+            f ^= bit
+            held[bit] = held.get(bit, 0) + 1
+    new = {bit: 1 << i for i, (_, bit) in enumerate(sorted(zip(held.values(), held)))}
+    out = []
+    for f in facets:
+        g = 0
+        while f:
+            bit = f & -f
+            f ^= bit
+            g |= new[bit]
+        out.append(g)
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 def _signed_columns(faces: dict[int, int], row_of: dict[int, int]) -> list[list[int]]:
     """The boundary of each face as a dense signed column over the faces one smaller.
 
@@ -348,10 +382,13 @@ class KoszulMemo:
 
     facets maps each leaf's list of face masks, as a tuple, to its facets
     in decreasing order, () for a cone; homology maps a field list to the
-    strand homology over it of each facet set, as _strand_homology gives
-    it.  Both are pure functions of their keys, so one memo serves any
-    walks; it lives as long as the caller holds it.  facets holds at most
-    LEAF_TABLE_CAP lists, and is emptied when full.
+    strand homology over it, as _strand_homology gives it, of each shape
+    (see _shape) and of each facet set met, so that a set met again is not
+    relabeled again.  A shape is isomorphic to every set that has it, so
+    the facet sets that differ only in the names of their vertices are
+    mostly ranked once.  Both tables are pure functions of their keys, so
+    one memo serves any walks; it lives as long as the caller holds it.
+    facets holds at most LEAF_TABLE_CAP lists, and is emptied when full.
     """
 
     def __init__(self) -> None:
@@ -374,15 +411,16 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     lattice, and K_a is a cone), and when the facets of K_a share a
     vertex (K_a is a cone).  The face classes are split once per walk
     node, when a coordinate is fixed, not once per multidegree; the last
-    coordinate is fixed in place, and each class gives the leaf one face
-    mask, read straight off its parent's classes.  The walk counts the
-    live multidegrees per (facet set, |a|); after it, the homology of
-    each distinct facet set is computed once and added with those counts,
-    which is exact because K_a's reduced homology depends only on its
-    facets.  The walk reads and fills *memo*, or a memo of its own when
-    given none: each distinct list of leaf masks is reduced to its facets
-    once while the memo's leaf table has room, and each distinct facet
-    set is ranked once per field list.  A list that meets a full table
+    coordinate is no node, and its leaves are read off e, the least
+    exponent of the last variable in each class (see the module
+    docstring).  The walk counts the live multidegrees per (facet set,
+    |a|); after it, the homology of each distinct shape (_shape) is
+    computed once and added with those counts, which is exact because
+    K_a's reduced homology depends only on its facets, up to the names of
+    its vertices.  The walk reads and fills *memo*, or a memo of its own
+    when given none: each distinct list of leaf masks is reduced to its
+    facets once while the memo's leaf table has room, and each distinct
+    shape is ranked once per field list.  A list that meets a full table
     (LEAF_TABLE_CAP lists) is reduced but not kept, and the table starts
     over.  A strand's two
     lowest boundary ranks are 1 and V - c over every field, since an
@@ -395,8 +433,16 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     if ideal.is_zero():
         raise InputError("Betti table of the zero ideal is not defined here")
     fields = list(dict.fromkeys(fields))
-    gens_exps = [g.exps for g in ideal.gens]
-    n = ideal.n
+    # the generators in increasing order of their exponent of the last
+    # variable, so that the least such exponent in a bitset is read off its
+    # lowest bit
+    gens_exps = sorted((g.exps for g in ideal.gens), key=operator.itemgetter(-1))
+    if ideal.n == 1:
+        # walked as an ideal in two variables, the first dividing no
+        # generator, so that a coordinate comes before the last
+        gens_exps = [(0, *g) for g in gens_exps]
+    n = len(gens_exps[0])
+    last = n - 1
     maxvec = tuple(max(g[v] for g in gens_exps) for v in range(n))
     box = 1
     for e in maxvec:
@@ -410,12 +456,15 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     # exact[v][t]: those whose exponent of x_v is exactly t
     le: list[list[int]] = []
     exact: list[list[int]] = []
-    for v in range(n):
+    for v in range(last):
         at = [0] * (maxvec[v] + 1)
         for i, g in enumerate(gens_exps):
             at[g[v]] |= 1 << i
         exact.append(at)
         le.append(list(itertools.accumulate(at, operator.or_)))
+    # least[b]: the exponent of x_{n-1} in generator b - 1, the least in
+    # any bitset whose lowest bit is b - 1
+    least = [0, *(g[last] for g in gens_exps)]
 
     # Why the skips are exact.  K_a is the complex of the face masks
     # {v : a_v > g_v} over the generators g dividing x^a; these g form the
@@ -436,20 +485,31 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     # classes[v] lists the divisors of the prefix a[:v] as (bitset, mask)
     # pairs, one per distinct face mask {u < v : a_u > g_u}; fixing a_v = t
     # keeps the divisors in le[v][t] and moves those outside exact[v][t] to
-    # mask | {v}.  For the last coordinate a class gives the leaf one face
-    # mask: mask | {v} when it holds a divisor with g_v < t, else mask.  A
-    # class with both kinds of divisor has mask | {v} among the leaf's
-    # masks, which contains mask, so the facets are the same.  tally counts
-    # the live leaves per (facets, |a|); the homology of each distinct
-    # facet set is taken once, after the walk.
+    # mask | {v}.  The split that fixes a_{n-2} files each class it makes
+    # under e, the least exponent of x_{n-1} among its divisors, and a_{n-1}
+    # is never a node.  At a_{n-1} = t a class with e > t holds no divisor;
+    # one with e < t holds a divisor with g_{n-1} < t, so it gives the leaf
+    # mask | {n-1}, which contains mask and leaves the facets the same if it
+    # holds one with g_{n-1} = t too; and one with e == t gives mask.  So
+    # the leaf's masks are the raised classes with e < t and the plain
+    # classes with e == t, and a t with no class at e == t is a cone with
+    # apex n-1, never built.  tally counts the live leaves per (facets,
+    # |a|); the homology of each distinct shape is taken once, after the
+    # walk.
     memo = memo or KoszulMemo()
     known = memo.facets
     tally: dict[tuple[tuple[int, ...], int], int] = {}
-    # a[:v] is the fixed prefix; divisors[v] is AND_{u < v} le[u][a_u]
-    a = [-1] * n
-    divisors = [(1 << len(gens_exps)) - 1] + [0] * (n - 1)
-    classes = [[(divisors[0], 0)]] + [[]] * (n - 1)
-    last = n - 1
+    top = 1 << last
+    # buckets[e]: the masks of the prefix's classes with least e, each
+    # bucket emptied as its leaf is tallied
+    buckets: list[list[int]] = [[] for _ in range(maxvec[last] + 1)]
+    # a[:v] is the fixed prefix, of total degree degree[v]; divisors[v] is
+    # AND_{u < v} le[u][a_u]
+    everything = (1 << len(gens_exps)) - 1
+    a = [-1] * last
+    divisors = [everything] * last
+    classes = [[(everything, 0)]] * last
+    degree = [0] * last
     v = 0
     while v >= 0:
         t = a[v] + 1
@@ -464,7 +524,7 @@ def koszul_tables(ideal: MonomialIdeal, fields,
             continue
         a[v] = t
         hit, bit = exact[v][t], 1 << v
-        if v < last:
+        if v + 1 < last:
             split = []
             for gens, mask in classes[v]:
                 gens &= d
@@ -475,36 +535,51 @@ def koszul_tables(ideal: MonomialIdeal, fields,
                     split.append((gens ^ same, mask | bit))
             divisors[v + 1] = d
             classes[v + 1] = split
+            degree[v + 1] = degree[v] + t
             v += 1
             continue
-        # the leaf a: one face mask per class of a[:n - 1]
-        below = d & ~hit
-        masks = []
         for gens, mask in classes[v]:
-            if gens & below:
-                masks.append(mask | bit)
-            elif gens & d:
-                masks.append(mask)
-        key = tuple(masks)
-        facets = known.get(key)
-        if facets is None:
-            facets = tuple(_maximal_faces(masks))
-            if len(known) < LEAF_TABLE_CAP:
-                known[key] = facets
-            else:
-                # a leaf's list recurs most often at the leaves near it
-                known.clear()
-        if facets:
-            # _maximal_faces lists the facets in decreasing order, so the
-            # tuple names the facet set
-            key = (facets, sum(a))
-            tally[key] = tally.get(key, 0) + 1
+            gens &= d
+            same = gens & hit
+            if same:
+                buckets[least[(same & -same).bit_length()]].append(mask)
+            if same != gens:
+                gens ^= same
+                buckets[least[(gens & -gens).bit_length()]].append(mask | bit)
+        # the leaves a[:n - 1] + (e,), in increasing e, of total degree j
+        j = degree[v] + t
+        raised: list[int] = []
+        for plain in buckets:
+            if plain:
+                masks = raised + plain
+                key = tuple(masks)
+                facets = known.get(key)
+                if facets is None:
+                    facets = tuple(_maximal_faces(masks))
+                    if len(known) < LEAF_TABLE_CAP:
+                        known[key] = facets
+                    else:
+                        # a leaf's list recurs most often at the leaves near it
+                        known.clear()
+                if facets:
+                    # _maximal_faces lists the facets in decreasing order, so
+                    # the tuple names the facet set
+                    key = (facets, j)
+                    tally[key] = tally.get(key, 0) + 1
+                raised += [mask | top for mask in plain]
+                plain.clear()
+            j += 1
     tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
     homology = memo.homology.setdefault(tuple(fields), {})
     for (facets, j), count in tally.items():
-        if facets not in homology:
-            homology[facets] = _strand_homology(facets, fields)
-        for entries, dims in zip(tables, homology[facets]):
+        field_dims = homology.get(facets)
+        if field_dims is None:
+            shape = _shape(facets)
+            field_dims = homology.get(shape)
+            if field_dims is None:
+                field_dims = homology[shape] = _strand_homology(shape, fields)
+            homology[facets] = field_dims
+        for entries, dims in zip(tables, field_dims):
             for i, h in dims.items():
                 entries[(i, j)] = entries.get((i, j), 0) + h * count
     return {

@@ -234,6 +234,23 @@ class TestKoszulAgainstBruteForce:
     def test_powers(self, build, k):
         self.check(build().power(k))
 
+    @pytest.mark.parametrize("gens", [
+        [(2,)], [(3,)], [(2,), (3,)],  # one variable; x1^2, x1^3 is x1^2
+        # the last variable divides no generator
+        [(1, 1, 0), (0, 1, 1), (1, 0, 1)], [(2, 0, 0), (1, 1, 0), (0, 2, 0)],
+        # its exponents up to 4, every one of them at some generator
+        [(1, 0, 4), (0, 2, 3), (2, 1, 2), (0, 3, 1), (3, 0, 0)],
+        [(1, 1, 0, 4), (0, 1, 1, 3), (1, 0, 1, 2), (0, 2, 0, 1), (2, 0, 0, 0)],
+        [(1, 4), (2, 3), (3, 2), (4, 1), (5, 0)],
+    ])
+    def test_leaves_at_the_edges(self, gens):
+        # a leaf is built only at a least exponent of the last variable:
+        # the tables are those of the full scan over every multidegree
+        ideal = MonomialIdeal(len(gens[0]), tuple(Monomial(g) for g in gens))
+        tables = koszul_tables(ideal, (QQ, GF2))
+        for field in (QQ, GF2):
+            assert tables[field.label].entries == brute_koszul_betti(ideal, field).entries
+
     def test_one_table_per_label(self):
         tables = koszul_tables(terai_ideal(), (QQ, QQ, GF2))
         assert list(tables) == ["Q", "GF(2)"]
@@ -254,7 +271,19 @@ class TestKoszulAgainstBruteForce:
         monkeypatch.setattr(betti_mod, "_strand_homology", counting)
         return calls
 
+    @staticmethod
+    def shape(facets: frozenset) -> frozenset:
+        """A facet set's vertices renumbered 1, 2, ... by (the number of
+        facets holding them, vertex), when a facet has 3 or more vertices."""
+        if max(map(len, facets)) <= 2:
+            return facets
+        held = {v: sum(v in f for f in facets) for f in facets for v in f}
+        new = {v: i + 1 for i, v in enumerate(sorted(held, key=lambda v: (held[v], v)))}
+        return frozenset(frozenset(new[v] for v in f) for f in facets)
+
     def test_homology_only_on_non_cone_strands(self, monkeypatch):
+        # each distinct shape of the live facet sets is ranked once: the
+        # relabeled set, which has the same homology over every field
         calls = self.count_homology(monkeypatch)
         for power in (terai_ideal().power(2), sturmfels_ideal().power(3),
                       co_cycle(6).power(2)):
@@ -273,16 +302,23 @@ class TestKoszulAgainstBruteForce:
             )
             # the same complex recurs at other multidegrees, and is taken once
             assert len(set(live)) < len(live)
-            assert len(calls) == len(set(calls)) == len(set(live))
-            assert set(calls) == set(live)
+            shapes = {self.shape(facets) for facets in live}
+            assert len(calls) == len(set(calls)) == len(shapes)
+            assert set(calls) == shapes
+        # the last walk meets complexes that differ only in the names of
+        # their vertices
+        assert len(shapes) < len(set(live))
 
     POWERS_IDEALS = (sturmfels_ideal, terai_ideal, lambda: co_path(6), lambda: co_cycle(6))
 
     def test_work_counts_of_the_powers_walks(self, monkeypatch):
         # Sturmfels, Terai, co-P6 and co-C6 at k <= 3, each power walked on
-        # its own: the leaves that are not cones, and the distinct facet sets
-        # among them, each taken once per walk.  Both counts are the same
-        # under any relabeling of the variables; the number of leaves is not.
+        # its own: the leaves that are not cones, and the distinct shapes of
+        # their facet sets, each ranked once per walk.  The first count is
+        # the same under any relabeling of the variables; the number of
+        # leaves and of shapes is not.  A leaf is built only when a class
+        # has its least exponent of the last variable there, so no leaf is
+        # a cone with apex the last vertex.
         # The leaves are counted where they read the memo's facets table, as
         # a walk reduces only the mask lists it has not met before; the
         # table is given room for every list, so that each read key is
@@ -297,8 +333,8 @@ class TestKoszulAgainstBruteForce:
                 koszul_tables(build().power(k), (QQ, GF2), memo)
                 leaves += len(log.reads)
                 live += sum(bool(log[key]) for key in log.reads)
-        assert (leaves, live) == (11186, 5378)
-        assert len(calls) == 1686
+        assert (leaves, live) == (8839, 5378)
+        assert len(calls) == 1097
 
     @staticmethod
     def count_reductions(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
@@ -319,22 +355,23 @@ class TestKoszulAgainstBruteForce:
     def test_a_walk_reduces_each_distinct_leaf_mask_list_once(self, monkeypatch):
         # the same walks with no memo given: each walk has a memo of its own,
         # so it reduces each distinct leaf mask list once, not every leaf,
-        # while the memo's leaf table has room.  Only co-C6^3 meets more
-        # lists (1,152) than LEAF_TABLE_CAP; its table starts over once, and
-        # it reduces 60 lists again.
+        # while the memo's leaf table has room.  No walk meets more lists
+        # than LEAF_TABLE_CAP: co-C6^3 meets the most, 987, so none of the
+        # tables starts over and no list is reduced again.
         reduced = self.count_reductions(monkeypatch)
-        again = []
+        again, distinct = [], []
         for build in self.POWERS_IDEALS:
             for k in (1, 2, 3):
                 first = len(reduced)
                 koszul_tables(build().power(k), (QQ, GF2))
                 lists = [key for key, _ in reduced[first:]]
+                distinct.append(len(set(lists)))
                 if len(set(lists)) <= betti_mod.LEAF_TABLE_CAP:
                     assert len(lists) == len(set(lists))
                 else:
                     again.append(len(lists) - len(set(lists)))
-        assert again == [60]
-        assert (len(reduced), sum(live for _, live in reduced)) == (4844, 2250)
+        assert again == [] and max(distinct) == distinct[-1] == 987
+        assert (len(reduced), sum(live for _, live in reduced)) == (4270, 2276)
 
     @pytest.mark.parametrize("cap", [0, 16])
     def test_leaf_table_cap(self, monkeypatch, cap):
@@ -357,14 +394,14 @@ class TestKoszulAgainstBruteForce:
             for k in (1, 2, 3):
                 koszul_tables(build().power(k), (QQ, GF2))
         if cap == 0:
-            assert (len(reduced), sum(live for _, live in reduced)) == (11186, 5378)
+            assert (len(reduced), sum(live for _, live in reduced)) == (8839, 5378)
         else:
-            assert 4784 < len(reduced) < 11186
+            assert 4270 < len(reduced) < 8839
 
     def test_work_counts_of_one_memo_per_ideal(self, monkeypatch):
         # the same walks, with one memo for the powers of each ideal, as
         # powers_linear_report shares it: each distinct leaf mask list is
-        # reduced once, and each distinct facet set is ranked once
+        # reduced once, and each distinct shape is ranked once
         original = betti_mod._maximal_faces
         reduced = []
 
@@ -377,8 +414,8 @@ class TestKoszulAgainstBruteForce:
         for build in self.POWERS_IDEALS:
             records = powers_linear_report(build(), (QQ, GF2), max_power=3)
             assert [r["k"] for r in records] == [1, 2, 3]
-        assert len(reduced) == 3794
-        assert len(calls) == 1074
+        assert len(reduced) == 3297
+        assert len(calls) == 636
 
     def test_memo_lives_for_one_call(self, monkeypatch):
         calls = self.count_homology(monkeypatch)
@@ -535,6 +572,26 @@ class TestStrandHomology:
             tops.add(max(m.bit_count() for m in facets))
             self.check(facets)
         assert tops == {1, 2, 3, 4, 5}
+
+    def test_shape_keeps_homology(self):
+        # a shape is an isomorphic complex: the same facet sizes and the
+        # same homology over every field; and it is its own shape
+        rng = random.Random(20261021)
+        relabeled = 0
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            masks = [sum(1 << v for v in rng.sample(range(n), rng.randint(1, min(n, 5))))
+                     for _ in range(rng.randint(1, 8))]
+            facets = tuple(sorted(self.maximal(masks), reverse=True))
+            shape = betti_mod._shape(facets)
+            assert betti_mod._shape(shape) == shape
+            assert sorted(map(int.bit_count, shape)) == sorted(map(int.bit_count, facets))
+            assert (betti_mod._strand_homology(shape, self.FIELDS)
+                    == betti_mod._strand_homology(facets, self.FIELDS)), facets
+            if max(map(int.bit_count, facets)) <= 2:
+                assert shape == facets
+            relabeled += shape != facets
+        assert relabeled > 100
 
     def test_no_boundary_below_size_three(self, monkeypatch):
         original = betti_mod._rank_boundary

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,24 @@ class TestGraphBasics:
     def test_out_of_range(self):
         with pytest.raises(InputError):
             g(2, (1, 3))
+
+    def test_edges_normalized_from_any_pairs(self):
+        # reversed, repeated and list-shaped pairs all come out as sorted tuples
+        graph = Graph(4, [[2, 1], (1, 2), (4, 3), [1, 4]])
+        assert graph.edges == frozenset({(1, 2), (3, 4), (1, 4)})
+        assert Graph(4, frozenset({(1, 2), (3, 4)})).edges == frozenset({(1, 2), (3, 4)})
+        assert Graph(0).edges == frozenset()
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(1, 2), (1, 2, 3)}, "edge (1, 2, 3) is not a pair"),
+        ({(1, 2), 5}, "edge 5 is not a pair"),
+        ({(2, 3), (3, 1), (0, 1)}, "edge (0, 1) out of vertex range 1..3"),
+        ({(1, 2), (4, 2)}, "edge (4, 2) out of vertex range 1..3"),
+        ({(1, 2), (2, 2)}, "loop (2, 2) must be passed via loops=, not edges="),
+    ])
+    def test_bad_edge_is_named(self, edges, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            Graph(3, frozenset(edges))
 
     def test_neighbors_ignore_loops(self):
         graph = g(3, (1, 2), loops=(1,))
