@@ -25,12 +25,14 @@ by the last vertex, and of those with e == t, and a t with no class at
 e == t (a cone) is never built.  Reduced homology depends only on the
 facet set, up to the names of its vertices, so the walk only counts its
 live multidegrees per facet set and total degree; after the walk each
-distinct shape (the set relabeled, see _shape) is taken once and added
-with its counts.  Every walk reads and fills a KoszulMemo: a leaf's
-facets are a function of its list of face masks alone, so each distinct
-list is reduced to its facets once, and each distinct shape ranked
-once.  A walk on its own has a memo of its own; the walks of several
-related ideals over one field list (the powers of I, a job) share one.
+distinct set is taken once and added with its counts, a set with a
+facet of 4 or more vertices as its shape (the set relabeled, see
+_shape), since only there does a relabel cost less than a rank.  Every
+walk reads and fills a KoszulMemo: a leaf's facets are a function of
+its list of face masks alone, so each distinct list is reduced to its
+facets once, and each distinct shape or smaller set ranked once.  A
+walk on its own has a memo of its own; the walks of several related
+ideals over one field list (the powers of I, a job) share one.
 The memo's leaf table holds at most LEAF_TABLE_CAP lists: a list that
 meets a full table is reduced but not kept, and the table starts over,
 since a leaf's list recurs most often at the leaves near it in the
@@ -227,11 +229,7 @@ def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
     The vertices are renumbered 0, 1, ... in the order of (the number of
     facets holding them, position), so complexes that differ only in the
     names of their vertices often share a shape, and a shape is its own.
-    A complex of dimension <= 1 is returned as it is: _strand_homology
-    reads its homology off counts, more cheaply than a relabel.
     """
-    if max(map(int.bit_count, facets)) <= 2:
-        return facets
     held: dict[int, int] = {}  # vertex bit -> the number of facets holding it
     for f in facets:
         while f:
@@ -383,10 +381,10 @@ class KoszulMemo:
     facets maps each leaf's list of face masks, as a tuple, to its facets
     in decreasing order, () for a cone; homology maps a field list to the
     strand homology over it, as _strand_homology gives it, of each shape
-    (see _shape) and of each facet set met, so that a set met again is not
-    relabeled again.  A shape is isomorphic to every set that has it, so
-    the facet sets that differ only in the names of their vertices are
-    mostly ranked once.  Both tables are pure functions of their keys, so
+    (see _shape) of a set with a facet of 4 or more vertices, and of each
+    smaller set as it is.  A shape is isomorphic to every set that has it,
+    so the larger sets that differ only in the names of their vertices
+    are mostly ranked once.  Both tables are pure functions of their keys, so
     one memo serves any walks; it lives as long as the caller holds it.
     facets holds at most LEAF_TABLE_CAP lists, and is emptied when full.
     """
@@ -414,13 +412,14 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     coordinate is no node, and its leaves are read off e, the least
     exponent of the last variable in each class (see the module
     docstring).  The walk counts the live multidegrees per (facet set,
-    |a|); after it, the homology of each distinct shape (_shape) is
-    computed once and added with those counts, which is exact because
-    K_a's reduced homology depends only on its facets, up to the names of
-    its vertices.  The walk reads and fills *memo*, or a memo of its own
-    when given none: each distinct list of leaf masks is reduced to its
-    facets once while the memo's leaf table has room, and each distinct
-    shape is ranked once per field list.  A list that meets a full table
+    |a|); after it, the homology of each distinct set is computed once,
+    a set with a facet of 4 or more vertices as its shape (_shape), and
+    added with those counts, which is exact because K_a's reduced
+    homology depends only on its facets, up to the names of its vertices.
+    The walk reads and fills *memo*, or a memo of its own when given
+    none: each distinct list of leaf masks is reduced to its facets once
+    while the memo's leaf table has room, and each distinct shape or
+    smaller set is ranked once per field list.  A list that meets a full table
     (LEAF_TABLE_CAP lists) is reduced but not kept, and the table starts
     over.  A strand's two
     lowest boundary ranks are 1 and V - c over every field, since an
@@ -494,8 +493,8 @@ def koszul_tables(ideal: MonomialIdeal, fields,
     # the leaf's masks are the raised classes with e < t and the plain
     # classes with e == t, and a t with no class at e == t is a cone with
     # apex n-1, never built.  tally counts the live leaves per (facets,
-    # |a|); the homology of each distinct shape is taken once, after the
-    # walk.
+    # |a|); the homology of each distinct set or shape is taken once,
+    # after the walk.
     memo = memo or KoszulMemo()
     known = memo.facets
     tally: dict[tuple[tuple[int, ...], int], int] = {}
@@ -570,15 +569,20 @@ def koszul_tables(ideal: MonomialIdeal, fields,
                 plain.clear()
             j += 1
     tables: list[dict[tuple[int, int], int]] = [{} for _ in fields]
-    homology = memo.homology.setdefault(tuple(fields), {})
+    ranked = memo.homology.setdefault(tuple(fields), {})
+    # walk_dims: the homology of each facet set of this walk, so that a set
+    # is relabeled at most once per walk; only a set with a facet of 4 or
+    # more vertices is relabeled, as a smaller one costs about as much to
+    # relabel as to rank
+    walk_dims: dict[tuple[int, ...], list[dict[int, int]]] = {}
     for (facets, j), count in tally.items():
-        field_dims = homology.get(facets)
+        field_dims = walk_dims.get(facets)
         if field_dims is None:
-            shape = _shape(facets)
-            field_dims = homology.get(shape)
+            key = _shape(facets) if max(map(int.bit_count, facets)) > 3 else facets
+            field_dims = ranked.get(key)
             if field_dims is None:
-                field_dims = homology[shape] = _strand_homology(shape, fields)
-            homology[facets] = field_dims
+                field_dims = ranked[key] = _strand_homology(key, fields)
+            walk_dims[facets] = field_dims
         for entries, dims in zip(tables, field_dims):
             for i, h in dims.items():
                 entries[(i, j)] = entries.get((i, j), 0) + h * count

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import Falsification, InputError, PreconditionError
 from .monomials import Monomial, MonomialIdeal, monomial_from_support
-
-
-_second = operator.itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -41,27 +37,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise InputError(f"need n >= 0, got {self.n}")
-        # each edge as its sorted pair, with no Python code per edge; only
-        # edges that fail a check are walked, to name the bad one
-        try:
-            ordered = all(itertools.starmap(operator.lt, self.edges))
-            pairs = frozenset(map(tuple, self.edges if ordered else map(sorted, self.edges)))
-            valid = (ordered or all(itertools.starmap(operator.lt, pairs))) and (
-                not pairs or (min(pairs)[0] >= 1 and max(map(_second, pairs)) <= self.n))
-        except TypeError:  # an edge that is not a pair of comparable ends
-            valid = False
-        if not valid:
-            pairs = self._checked_edges()
-        object.__setattr__(self, "edges", pairs)
-        loops = frozenset(self.loops)
-        for v in loops:
-            if not 1 <= v <= self.n:
-                raise InputError(f"loop at {v} out of vertex range 1..{self.n}")
-        object.__setattr__(self, "loops", loops)
-
-    def _checked_edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as sorted pairs, one at a time: InputError names the
-        first edge that is not a pair of two distinct vertices in 1..n."""
+        # each edge as its sorted pair; a pair given as a sorted tuple is kept
         norm = set()
         for e in self.edges:
             try:
@@ -70,10 +46,18 @@ class Graph:
                 raise InputError(f"edge {e!r} is not a pair") from None
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise InputError(f"edge {e} out of vertex range 1..{self.n}")
-            if i == j:
+            if i < j:
+                norm.add(e if type(e) is tuple else (i, j))
+            elif j < i:
+                norm.add((j, i))
+            else:
                 raise InputError(f"loop {e} must be passed via loops=, not edges=")
-            norm.add((min(i, j), max(i, j)))
-        return frozenset(norm)
+        object.__setattr__(self, "edges", frozenset(norm))
+        loops = frozenset(self.loops)
+        for v in loops:
+            if not 1 <= v <= self.n:
+                raise InputError(f"loop at {v} out of vertex range 1..{self.n}")
+        object.__setattr__(self, "loops", loops)
 
     @property
     def has_loops(self) -> bool:

@@ -274,8 +274,8 @@ class TestKoszulAgainstBruteForce:
     @staticmethod
     def shape(facets: frozenset) -> frozenset:
         """A facet set's vertices renumbered 1, 2, ... by (the number of
-        facets holding them, vertex), when a facet has 3 or more vertices."""
-        if max(map(len, facets)) <= 2:
+        facets holding them, vertex), when a facet has 4 or more vertices."""
+        if max(map(len, facets)) <= 3:
             return facets
         held = {v: sum(v in f for f in facets) for f in facets for v in f}
         new = {v: i + 1 for i, v in enumerate(sorted(held, key=lambda v: (held[v], v)))}
@@ -334,7 +334,7 @@ class TestKoszulAgainstBruteForce:
                 leaves += len(log.reads)
                 live += sum(bool(log[key]) for key in log.reads)
         assert (leaves, live) == (8839, 5378)
-        assert len(calls) == 1097
+        assert len(calls) == 1544
 
     @staticmethod
     def count_reductions(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
@@ -415,7 +415,7 @@ class TestKoszulAgainstBruteForce:
             records = powers_linear_report(build(), (QQ, GF2), max_power=3)
             assert [r["k"] for r in records] == [1, 2, 3]
         assert len(reduced) == 3297
-        assert len(calls) == 636
+        assert len(calls) == 963
 
     def test_memo_lives_for_one_call(self, monkeypatch):
         calls = self.count_homology(monkeypatch)
@@ -588,8 +588,6 @@ class TestStrandHomology:
             assert sorted(map(int.bit_count, shape)) == sorted(map(int.bit_count, facets))
             assert (betti_mod._strand_homology(shape, self.FIELDS)
                     == betti_mod._strand_homology(facets, self.FIELDS)), facets
-            if max(map(int.bit_count, facets)) <= 2:
-                assert shape == facets
             relabeled += shape != facets
         assert relabeled > 100
 
