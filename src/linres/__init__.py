@@ -58,7 +58,6 @@ from .monomials import (
     parse_monomial,
 )
 from .quotients import (
-    condition_q,
     construct_lq_order,
     find_lq_order,
     has_linear_quotients,

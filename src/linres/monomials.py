@@ -70,27 +70,13 @@ class Monomial:
                 f"monomials live in different rings: {len(self.exps)} vs {len(other.exps)} variables"
             )
 
-    def divides(self, other: "Monomial") -> bool:
-        self._check_same_ring(other)
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
     def lcm(self, other: "Monomial") -> "Monomial":
         self._check_same_ring(other)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check_same_ring(other)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         self._check_same_ring(other)
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        """Exact quotient; raises if *other* does not divide *self*."""
-        if not other.divides(self):
-            raise InputError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
 
     def __str__(self) -> str:
         return format_monomial(self, default_names(self.n))

@@ -158,11 +158,11 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
     """
     names = names if names is not None else monomials.default_names(ideal.n)
     report: dict = {"command": "analyze", "input": monomials.ideal_to_json(ideal, names)}
+    if max_power < 1:
+        raise InputError(f"max_power must be >= 1, got {max_power}")
     if ideal.is_zero():
         report["verdict"] = "zero ideal: nothing to resolve"
         return report
-    if max_power < 1:
-        raise InputError(f"max_power must be >= 1, got {max_power}")
     report["degree"] = ideal.degree
     if ideal.degree == 2:
         return _analyze_quadratic(report, ideal, names, fields, max_power)

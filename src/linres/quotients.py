@@ -2,14 +2,11 @@
 
 An ordered generating sequence u_1, ..., u_m has linear quotients when
 each colon ideal (u_1, ..., u_{i-1}) : u_i is generated by variables.
-Two routes check this.  ``has_linear_quotients`` asks that every
+One check decides this: ``has_linear_quotients`` asks that every
 generator u_j / gcd(u_j, u_i) of each colon ideal lie under one of
-degree one, read off per-variable bitsets of the exponents (the same
-check ``find_lq_order`` prunes with); ``condition_q`` runs the
-quantifier form directly on monomials (for every earlier u there is an
-earlier w with w/gcd(w,v) a variable dividing u/gcd(u,v)).  The two are
-provably equivalent, so the second asserts agreement with the first and
-raises Falsification on any split.
+degree one, read off per-variable bitsets of the exponents.
+``find_lq_order`` prunes with the same check, and ``construct_lq_order``
+verifies its output with it.
 
 For quadratic ideals whose generators satisfy the two combinatorial
 closure conditions from graphs.check_star and graphs.check_star_star,
@@ -106,38 +103,6 @@ def has_linear_quotients(order: Sequence[Monomial]) -> CheckResult:
     return CheckResult(True, None)
 
 
-def condition_q(order: Sequence[Monomial]) -> CheckResult:
-    """Quantifier form of the linear-quotients condition on an order.
-
-    For every v and every earlier u there must be an earlier w such that
-    w / gcd(w, v) has degree one and divides u / gcd(u, v).  Witness on
-    failure: 1-based positions (i, j) of v and the unwitnessed u.
-
-    Always cross-checked against has_linear_quotients; a disagreement
-    between the two routes raises Falsification.
-    """
-    _validate_order(order)
-    result = CheckResult(True, None)
-    for i in range(1, len(order)):
-        v = order[i]
-        ws = [order[k] / order[k].gcd(v) for k in range(i)]
-        variables = [w for w in ws if w.degree == 1]
-        for j in range(i):
-            uq = order[j] / order[j].gcd(v)
-            if not any(w.divides(uq) for w in variables):
-                result = CheckResult(False, (i + 1, j + 1))
-                break
-        if not result:
-            break
-    other = has_linear_quotients(order)
-    if bool(result) != bool(other):
-        raise Falsification(
-            f"condition (q) says {bool(result)} but the colon route says "
-            f"{bool(other)} on {[str(u) for u in order]}"
-        )
-    return result
-
-
 def isolated_squares(ideal: MonomialIdeal) -> tuple[int, ...]:
     """Square generator indices i with no generator x_k x_i for any k < i."""
     pairs = ideal.pair_set()
@@ -163,8 +128,8 @@ def construct_lq_order(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
          the smallest index below i occurring with i;
       3. squares with no such partner appended at the end, ascending.
 
-    The result is verified by condition_q before being returned; a
-    failure there is a Falsification, not an input error.
+    The result is verified by has_linear_quotients before being
+    returned; a failure there is a Falsification, not an input error.
     """
     if ideal.degree != 2:
         raise InputError("this construction needs an ideal generated in degree 2")
@@ -193,7 +158,7 @@ def construct_lq_order(ideal: MonomialIdeal) -> tuple[Monomial, ...]:
         else:
             leftovers.append(square)
     order.extend(leftovers)
-    verdict = condition_q(order)
+    verdict = has_linear_quotients(order)
     if not verdict:
         raise Falsification(
             "constructed order fails linear quotients at positions "

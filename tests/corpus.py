@@ -101,13 +101,23 @@ def square_corpus(max_n: int = 4):
                     yield ideal_of(n, *base, *((i, i) for i in squares))
 
 
+def brute_divides(a, b) -> bool:
+    """Does x^a divide x^b?  On exponent tuples."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def brute_quotient(u, v) -> tuple[int, ...]:
+    """The exponents of u / gcd(u, v), from those of u and v."""
+    return tuple(max(x - y, 0) for x, y in zip(u, v))
+
+
 def brute_minimalize(monomials):
     """Independent minimal generating set: keep the non-dominated ones."""
     ms = sorted(set(monomials), key=lambda m: (m.degree, m.exps))
     return [
         m
         for m in ms
-        if not any(o != m and o.divides(m) for o in ms)
+        if not any(o != m and brute_divides(o.exps, m.exps) for o in ms)
     ]
 
 
@@ -132,7 +142,27 @@ def brute_power(ideal: MonomialIdeal, k: int) -> list[Monomial]:
 
 def brute_colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """I : m from its definition: generated by g / gcd(g, m) over the generators g."""
-    return MonomialIdeal(ideal.n, tuple(brute_minimalize(g / g.gcd(m) for g in ideal.gens)))
+    return MonomialIdeal(ideal.n, tuple(brute_minimalize(
+        Monomial(brute_quotient(g.exps, m.exps)) for g in ideal.gens)))
+
+
+def brute_condition_q(order) -> tuple[bool, tuple[int, int] | None]:
+    """Linear quotients of an order of monomials, by condition (q): for
+    every v and every earlier u there is an earlier w such that
+    w / gcd(w, v) has degree one and divides u / gcd(u, v).
+
+    Returns (ok, witness) in the shape of has_linear_quotients's
+    verdict: on failure the 1-based positions (i, j) of the first v that
+    fails and of its first unwitnessed u.
+    """
+    exps = [u.exps for u in order]
+    for i in range(1, len(exps)):
+        quotients = [brute_quotient(u, exps[i]) for u in exps[:i]]
+        variables = [w for w in quotients if sum(w) == 1]
+        for j, q in enumerate(quotients):
+            if not any(brute_divides(w, q) for w in variables):
+                return False, (i + 1, j + 1)
+    return True, None
 
 
 def lead_walk_order(basis, k: int) -> tuple[Monomial, ...]:

@@ -141,6 +141,15 @@ class TestAnalyze:
         assert rc == 0
         assert "zero ideal" in report["verdict"]
 
+    @pytest.mark.parametrize("power", ["0", "-3"])
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_zero_ideal_bad_max_power_exits_two(self, capsys, tmp_path, power, mode):
+        # max_power is checked before the zero ideal's verdict, as for any ideal
+        path = write_ideal(tmp_path, "zero.json", ["x1", "x2"], [])
+        rc, out, err = run(capsys, "analyze", path, "--max-power", power, *mode)
+        assert rc == 2 and out == ""
+        assert err == f"error: max_power must be >= 1, got {power}\n"
+
     def test_text_mode_mentions_verdicts(self, capsys, k3):
         rc, out, err = run(capsys, "analyze", k3)
         assert rc == 0 and err == ""

@@ -1,17 +1,27 @@
 import itertools
 import random
+import re
 import sys
 
 import pytest
 
-from corpus import all_graphs, brute_minimalize, ideal_of, square_corpus, sturmfels_ideal
+from corpus import (
+    all_graphs,
+    brute_condition_q,
+    brute_divides,
+    brute_minimalize,
+    brute_quotient,
+    ideal_of,
+    square_corpus,
+    squarefree_corpus,
+    sturmfels_ideal,
+)
 import linres.quotients as quotients_mod
 from linres.betti import GF2, QQ, is_linear_resolution
-from linres.errors import BudgetExhausted, InputError, PreconditionError
-from linres.graphs import complement, dirac_labeling, graph_of_ideal, is_chordal
+from linres.errors import BudgetExhausted, Falsification, InputError, PreconditionError
+from linres.graphs import CheckResult, complement, dirac_labeling, graph_of_ideal, is_chordal
 from linres.monomials import Monomial, monomial_from_support
 from linres.quotients import (
-    condition_q,
     construct_lq_order,
     find_lq_order,
     has_linear_quotients,
@@ -21,6 +31,12 @@ from linres.quotients import (
 
 def mono(n, *sup):
     return monomial_from_support(n, sup)
+
+
+def assert_lq(order):
+    """The order passes the colon check and the condition (q) reference."""
+    assert has_linear_quotients(order)
+    assert brute_condition_q(order) == (True, None)
 
 
 class TestHasLinearQuotients:
@@ -54,7 +70,8 @@ class TestHasLinearQuotients:
 
     def test_agrees_with_minimalized_colon_ideals(self):
         # random minimal systems of mixed degree in random order, against
-        # colon ideals built from Monomial quotients and minimalized
+        # colon ideals built from the quotients and minimalized, and
+        # against the condition (q) reference
         rng = random.Random(2026)
         checked = failed = 0
         while checked < 1500:
@@ -66,40 +83,67 @@ class TestHasLinearQuotients:
             rng.shuffle(order)
             expected = (True, None)
             for i in range(1, len(order)):
-                quotients = [u / u.gcd(order[i]) for u in order[:i]]
+                quotients = [Monomial(brute_quotient(u.exps, order[i].exps)) for u in order[:i]]
                 if all(g.degree == 1 for g in brute_minimalize(quotients)):
                     continue
                 j = next(j for j, q in enumerate(quotients)
-                         if not any(w.degree == 1 and w.divides(q) for w in quotients))
+                         if not any(w.degree == 1 and brute_divides(w.exps, q.exps)
+                                    for w in quotients))
                 expected = (False, (i + 1, j + 1))
                 break
             verdict = has_linear_quotients(order)
             assert (verdict.ok, verdict.witness) == expected, order
+            assert brute_condition_q(order) == expected, order
             checked += 1
             failed += not verdict.ok
         assert 0 < failed < checked
 
 
 class TestConditionQ:
+    # tests/corpus.py:brute_condition_q, the quantifier form, is the
+    # reference the colon check is held to
+
     def test_shared_vertex(self):
-        assert condition_q([mono(3, 1, 3), mono(3, 1, 2)])
+        assert brute_condition_q([mono(3, 1, 3), mono(3, 1, 2)]) == (True, None)
 
     def test_disjoint_edges_any_order(self):
         a, b = mono(4, 1, 2), mono(4, 3, 4)
-        assert not condition_q([a, b])
-        assert not condition_q([b, a])
+        assert brute_condition_q([a, b]) == (False, (2, 1))
+        assert brute_condition_q([b, a]) == (False, (2, 1))
 
     def test_implies_colon_route_on_all_small_orders(self):
-        # every permutation of every <=4-generator edge ideal on 4 vertices;
-        # condition_q internally falsifies on any split with the colon route
+        # every permutation of every <=4-generator edge ideal on 4
+        # vertices: verdict and witness equal in both directions
         for graph in all_graphs(4):
             ideal = ideal_of(4, *graph.sorted_edges()) if graph.edges else None
             if ideal is None or ideal.num_gens > 4:
                 continue
             for perm in itertools.permutations(ideal.gens):
-                q = condition_q(perm)
-                if q:
-                    assert has_linear_quotients(perm)
+                verdict = has_linear_quotients(perm)
+                assert brute_condition_q(perm) == (verdict.ok, verdict.witness), perm
+
+    def test_agrees_on_constructed_and_found_orders_of_the_corpus(self):
+        # every order the library builds or finds on the 2,117 corpus ideals
+        corpus = list(squarefree_corpus(5)) + list(square_corpus(4))
+        assert len(corpus) == 1094 + 1023
+        constructed = found = 0
+        for ideal in corpus:
+            orders = []
+            g_simple = graph_of_ideal(ideal).simple()
+            if is_chordal(complement(g_simple)).is_chordal:
+                relabeled = ideal.relabel(dirac_labeling(g_simple, ideal.square_set()))
+                try:
+                    orders.append(construct_lq_order(relabeled))
+                    constructed += 1
+                except PreconditionError:
+                    pass
+            order = find_lq_order(ideal)
+            if order is not None:
+                orders.append(order)
+                found += 1
+            for order in orders:
+                assert_lq(order)
+        assert 0 < constructed <= found < len(corpus)
 
 
 class TestConstructOrder:
@@ -114,7 +158,7 @@ class TestConstructOrder:
     def test_full_square_block(self):
         got = construct_lq_order(ideal_of(2, (1, 1), (1, 2), (2, 2)))
         assert got == (mono(2, 1, 2), mono(2, 2, 2), mono(2, 1, 1))
-        assert condition_q(got)
+        assert_lq(got)
 
     def test_disjoint_edges_precondition(self):
         with pytest.raises(PreconditionError) as err:
@@ -151,7 +195,15 @@ class TestConstructOrder:
                 assert sorted(order, key=lambda m: m.exps) == sorted(
                     ideal.gens, key=lambda m: m.exps
                 )
-                assert condition_q(order)
+                assert_lq(order)
+
+    def test_failed_verification_is_a_falsification(self, monkeypatch):
+        monkeypatch.setattr(quotients_mod, "has_linear_quotients",
+                            lambda order: CheckResult(False, (3, 1)))
+        with pytest.raises(Falsification, match="^" + re.escape(
+                "constructed order fails linear quotients at positions (3, 1): "
+                "['x2*x3', 'x1*x3', 'x1*x2']") + "$"):
+            construct_lq_order(ideal_of(3, (1, 2), (1, 3), (2, 3)))
 
 
 class TestFindOrder:
@@ -164,7 +216,7 @@ class TestFindOrder:
     def test_sturmfels_found(self):
         order = find_lq_order(sturmfels_ideal())
         assert order is not None
-        assert condition_q(order)
+        assert_lq(order)
 
     def test_budget_exhaustion_is_loud(self, monkeypatch):
         monkeypatch.setattr(quotients_mod, "LQ_SEARCH_BUDGET", 3)
