@@ -79,22 +79,30 @@ import operator
 import re
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import Falsification, InputError, ResourceGuard
 from .monomials import MonomialIdeal
 from .rank import is_prime, rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """The rationals (p None) or a prime field GF(p)."""
 
-    p: int | None = None
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise InputError(f"GF({self.p}) is not a field; p must be prime")
+    def __init__(self, p: int | None = None):
+        if p is not None and not is_prime(p):
+            raise InputError(f"GF({p}) is not a field; p must be prime")
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     @property
     def label(self) -> str:
@@ -122,13 +130,15 @@ QQ = FieldSpec(None)
 GF2 = FieldSpec(2)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Value):
     """Graded Betti numbers beta_{i,j} of an ideal (i homological, j internal)."""
 
-    field: FieldSpec
-    entries: dict[tuple[int, int], int]
-    gen_degree: int | None
+    __slots__ = _fields = ("field", "entries", "gen_degree")
+
+    def __init__(self, field: FieldSpec, entries: dict[tuple[int, int], int], gen_degree: int | None):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "gen_degree", gen_degree)
 
     def items_sorted(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.entries.items())

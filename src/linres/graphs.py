@@ -19,44 +19,44 @@ import functools
 import itertools
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .errors import Falsification, InputError, PreconditionError
 from .monomials import Monomial, MonomialIdeal, monomial_from_support
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Finite graph on vertices 1..n; a loop at v (the square x_v^2) is
     passed in *loops*, never in *edges*."""
 
-    n: int
-    edges: frozenset[tuple[int, int]] = frozenset()
-    loops: frozenset[int] = frozenset()
+    # no __slots__: the cached _adjacency lives in the instance dict
+    _fields = ("n", "edges", "loops")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"need n >= 0, got {self.n}")
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]] = frozenset(),
+                 loops: frozenset[int] = frozenset()):
+        if n < 0:
+            raise InputError(f"need n >= 0, got {n}")
         # each edge as its sorted pair; a pair given as a sorted tuple is kept
         norm = set()
-        for e in self.edges:
+        for e in edges:
             try:
                 i, j = e
             except (TypeError, ValueError):
                 raise InputError(f"edge {e!r} is not a pair") from None
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise InputError(f"edge {e} out of vertex range 1..{self.n}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise InputError(f"edge {e} out of vertex range 1..{n}")
             if i < j:
                 norm.add(e if type(e) is tuple else (i, j))
             elif j < i:
                 norm.add((j, i))
             else:
                 raise InputError(f"loop {e} must be passed via loops=, not edges=")
-        object.__setattr__(self, "edges", frozenset(norm))
-        loops = frozenset(self.loops)
+        loops = frozenset(loops)
         for v in loops:
-            if not 1 <= v <= self.n:
-                raise InputError(f"loop at {v} out of vertex range 1..{self.n}")
+            if not 1 <= v <= n:
+                raise InputError(f"loop at {v} out of vertex range 1..{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "loops", loops)
 
     @property
@@ -145,8 +145,7 @@ def complement(graph: Graph) -> Graph:
 # chordality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chordality:
+class Chordality(Value):
     """Chordality verdict with certificate.
 
     Exactly one of ``peo`` (a perfect elimination order, listed in
@@ -154,9 +153,13 @@ class Chordality:
     length >= 4, listed in cyclic order) is set.
     """
 
-    is_chordal: bool
-    peo: tuple[int, ...] | None = None
-    chordless_cycle: tuple[int, ...] | None = None
+    __slots__ = _fields = ("is_chordal", "peo", "chordless_cycle")
+
+    def __init__(self, is_chordal: bool, peo: tuple[int, ...] | None = None,
+                 chordless_cycle: tuple[int, ...] | None = None):
+        object.__setattr__(self, "is_chordal", is_chordal)
+        object.__setattr__(self, "peo", peo)
+        object.__setattr__(self, "chordless_cycle", chordless_cycle)
 
     def __bool__(self) -> bool:
         return self.is_chordal
@@ -262,20 +265,18 @@ def is_chordal(graph: Graph) -> Chordality:
 # simplicial complexes, leaves, quasi-trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """A complex given by its facets (inclusion-maximal faces) on 1..n."""
 
-    n: int
-    facets: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("n", "facets")
 
-    def __post_init__(self):
-        facets = [frozenset(f) for f in self.facets]
+    def __init__(self, n: int, facets: tuple[frozenset[int], ...]):
+        facets = [frozenset(f) for f in facets]
         for f in facets:
             if not f:
                 raise InputError("empty facet")
-            if any(not 1 <= v <= self.n for v in f):
-                raise InputError(f"facet {sorted(f)} out of vertex range 1..{self.n}")
+            if any(not 1 <= v <= n for v in f):
+                raise InputError(f"facet {sorted(f)} out of vertex range 1..{n}")
         maximal = [f for f in facets if not any(f < g for g in facets)]
         seen = set()
         canon = []
@@ -283,6 +284,7 @@ class SimplicialComplex:
             if f not in seen:
                 seen.add(f)
                 canon.append(f)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "facets", tuple(canon))
 
 
@@ -455,10 +457,12 @@ def _peel_labeling(graph: Graph, squares: frozenset[int], cx: SimplicialComplex)
 # generator-pattern checks on quadratic ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    witness: tuple | None = None
+class CheckResult(Value):
+    __slots__ = _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: tuple | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok

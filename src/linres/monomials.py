@@ -25,10 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import attrgetter, le
 
 from .errors import InputError, ResourceGuard
+from .value import Value
 
 
 # the most k-fold products of generators one MonomialIdeal.power may form
@@ -37,16 +37,23 @@ POWER_PRODUCT_CAP = 1_000_000
 _exps = attrgetter("exps")
 
 
-@dataclass(frozen=True, order=False)
-class Monomial:
+class Monomial(Value):
     """A monomial as a tuple of non-negative exponents."""
 
-    exps: tuple[int, ...]
+    __slots__ = _fields = ("exps",)
 
-    def __post_init__(self):
-        exps = self.exps
+    def __init__(self, exps: tuple[int, ...]):
         if not all(map(isinstance, exps, itertools.repeat(int))) or (exps and min(exps) < 0):
-            raise InputError(f"exponents must be non-negative integers, got {self.exps}")
+            raise InputError(f"exponents must be non-negative integers, got {exps}")
+        object.__setattr__(self, "exps", exps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exps == other.exps
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.exps,))
 
     @property
     def n(self) -> int:
@@ -92,31 +99,40 @@ def monomial_from_support(n: int, indices) -> Monomial:
     return Monomial(tuple(exps))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """A monomial ideal, held by its minimal generators in canonical order.
 
     The constructor minimalizes and sorts whatever generators it is
-    given, so two ideals are equal as dataclasses iff they are equal as
-    ideals.  ``MonomialIdeal(n, ())`` is the zero ideal.
+    given, so two ideals compare equal, and hash alike, exactly when they
+    are the same ideal in the same number of variables.
+    ``MonomialIdeal(n, ())`` is the zero ideal.
     """
 
-    n: int
-    gens: tuple[Monomial, ...] = field(default=())
+    # no __slots__: the cached _degree_two lives in the instance dict
+    _fields = ("n", "gens")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"need n >= 0, got {self.n}")
-        gens = tuple(self.gens)
+    def __init__(self, n: int, gens: tuple[Monomial, ...] = ()):
+        if n < 0:
+            raise InputError(f"need n >= 0, got {n}")
+        gens = tuple(gens)
         exps = tuple(map(_exps, gens))
         # exponents are non-negative, so any() is "degree > 0"
-        if not (all(map(self.n.__eq__, map(len, exps))) and all(map(any, exps))):
+        if not (all(map(n.__eq__, map(len, exps))) and all(map(any, exps))):
             for g in gens:  # the first offending generator names the error
-                if g.n != self.n:
-                    raise InputError(f"generator {g.exps} has {g.n} variables, ideal has {self.n}")
+                if g.n != n:
+                    raise InputError(f"generator {g.exps} has {g.n} variables, ideal has {n}")
                 if g.degree == 0:
                     raise InputError("unit ideal rejected: generator of degree 0")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", _minimalize(dict(zip(exps, gens))))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self.gens == other.gens
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.gens))
 
     @property
     def num_gens(self) -> int:

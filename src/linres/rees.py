@@ -47,18 +47,28 @@ from __future__ import annotations
 import functools
 import heapq
 import operator
-from dataclasses import dataclass
 
 from .errors import BudgetExhausted, Falsification, InputError, ResourceGuard
 from .monomials import Monomial, MonomialIdeal, format_monomial
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Value):
     """A pure difference x^lead - x^tail, already oriented (lead > tail)."""
 
-    lead: tuple[int, ...]
-    tail: tuple[int, ...]
+    __slots__ = _fields = ("lead", "tail")
+
+    def __init__(self, lead: tuple[int, ...], tail: tuple[int, ...]):
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "tail", tail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.lead == other.lead and self.tail == other.tail
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lead, self.tail))
 
     def x_degree(self, n: int) -> int:
         """Largest total degree in the first n variables on either side."""
@@ -74,17 +84,19 @@ def _norm_pair(u: tuple[int, ...], v: tuple[int, ...]):
 # term orders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Value):
     """A lex or graded-reverse-lex order over a fixed variable ranking.
 
     ``ranking`` lists variable indices from most to least significant.
     key(a) sorts ascending in the order, so key(a) > key(b) iff a > b.
     """
 
-    name: str
-    ranking: tuple[int, ...]
-    graded: bool
+    __slots__ = _fields = ("name", "ranking", "graded")
+
+    def __init__(self, name: str, ranking: tuple[int, ...], graded: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ranking", ranking)
+        object.__setattr__(self, "graded", graded)
 
     def key(self, exps):
         if self.graded:
@@ -92,8 +104,7 @@ class TermOrder:
         return tuple(exps[r] for r in self.ranking)
 
 
-@dataclass(frozen=True)
-class ReesRing:
+class ReesRing(Value):
     """Variable bookkeeping for T = K[x_1..x_n, y_e].
 
     Variables 0..n-1 are x_1..x_n; variable n+e is the e-th generator
@@ -101,8 +112,12 @@ class ReesRing:
     graph is n+1.  ``ends`` gives the cone-graph edge of every variable.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    # no __slots__: the cached ends live in the instance dict
+    _fields = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_ideal(cls, ideal: MonomialIdeal) -> "ReesRing":
@@ -527,13 +542,15 @@ def _saturate_variable(pk: _Packing, pairs, ring: ReesRing, v: int):
     return sat, out
 
 
-@dataclass(frozen=True)
-class ToricBasis:
+class ToricBasis(Value):
     """Reduced Groebner basis of the Rees presentation ideal."""
 
-    ring: ReesRing
-    order: TermOrder
-    elements: tuple[Binomial, ...]
+    __slots__ = _fields = ("ring", "order", "elements")
+
+    def __init__(self, ring: ReesRing, order: TermOrder, elements: tuple[Binomial, ...]):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "elements", elements)
 
     def formatted(self) -> list[str]:
         return [format_binomial(g, self.ring.names) for g in self.elements]
@@ -649,11 +666,13 @@ def toric_ideal_basis(ideal: MonomialIdeal) -> ToricBasis:
     return ToricBasis(ring, order, reduced)
 
 
-@dataclass(frozen=True)
-class XDegreeReport:
-    ok: bool
-    max_x_degree: int
-    witness: Binomial | None
+class XDegreeReport(Value):
+    __slots__ = _fields = ("ok", "max_x_degree", "witness")
+
+    def __init__(self, ok: bool, max_x_degree: int, witness: Binomial | None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "max_x_degree", max_x_degree)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -675,10 +694,12 @@ def x_degree_check(basis: ToricBasis) -> XDegreeReport:
 # primitive even closed walks (Graver basis of the cone graph)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WalkBinomial:
-    walk: tuple[int, ...]  # vertex sequence v_0 .. v_2k (closed)
-    binomial: Binomial
+class WalkBinomial(Value):
+    __slots__ = _fields = ("walk", "binomial")
+
+    def __init__(self, walk: tuple[int, ...], binomial: Binomial):
+        object.__setattr__(self, "walk", walk)  # vertex sequence v_0 .. v_2k (closed)
+        object.__setattr__(self, "binomial", binomial)
 
 
 def _omega_adjacency(ring: ReesRing):
@@ -908,13 +929,16 @@ def graver_basis(ring: ReesRing, bound: int | None = None) -> set[tuple[tuple[in
             for w in enumerate_primitive_even_walks(ring, bound)}
 
 
-@dataclass(frozen=True)
-class WalkCrossCheck:
-    covered: bool
-    bound: int
-    bound_sufficient: bool
-    missing: tuple[Binomial, ...]
-    realizations: tuple[WalkBinomial, ...] = ()
+class WalkCrossCheck(Value):
+    __slots__ = _fields = ("covered", "bound", "bound_sufficient", "missing", "realizations")
+
+    def __init__(self, covered: bool, bound: int, bound_sufficient: bool,
+                 missing: tuple[Binomial, ...], realizations: tuple[WalkBinomial, ...] = ()):
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "bound_sufficient", bound_sufficient)
+        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "realizations", realizations)
 
 
 def groebner_vs_walks(basis: ToricBasis, bound: int | None = None) -> WalkCrossCheck:

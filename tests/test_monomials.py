@@ -261,26 +261,44 @@ class TestPower:
 
 
 class TestInputErrorTexts:
+    # each row names its own id (the one its message once gave it), so
+    # adding or removing a row renames no other row
     @pytest.mark.parametrize("build, text", [
-        (lambda: Monomial((1, -1)), "exponents must be non-negative integers, got (1, -1)"),
-        (lambda: Monomial((1, 2.0)), "exponents must be non-negative integers, got (1, 2.0)"),
-        (lambda: Monomial((0, "a")), "exponents must be non-negative integers, got (0, 'a')"),
-        (lambda: m(1, 0).lcm(m(1,)), "monomials live in different rings: 2 vs 1 variables"),
-        (lambda: m(1, 0) * m(1,), "monomials live in different rings: 2 vs 1 variables"),
-        (lambda: monomial_from_support(2, (3,)), "variable index 3 out of range 1..2"),
-        (lambda: MonomialIdeal(-1, ()), "need n >= 0, got -1"),
-        (lambda: MonomialIdeal(2, (m(1, 0), m(1, 0, 0))),
-         "generator (1, 0, 0) has 3 variables, ideal has 2"),
-        (lambda: MonomialIdeal(2, (m(1, 0), m(0, 0))),
-         "unit ideal rejected: generator of degree 0"),
+        pytest.param(lambda: Monomial((1, -1)), "exponents must be non-negative integers, got (1, -1)",
+                     id="<lambda>-exponents must be non-negative integers, got (1, -1)"),
+        pytest.param(lambda: Monomial((1, 2.0)), "exponents must be non-negative integers, got (1, 2.0)",
+                     id="<lambda>-exponents must be non-negative integers, got (1, 2.0)"),
+        pytest.param(lambda: Monomial((0, "a")), "exponents must be non-negative integers, got (0, 'a')",
+                     id="<lambda>-exponents must be non-negative integers, got (0, 'a')"),
+        pytest.param(lambda: m(1, 0).lcm(m(1,)), "monomials live in different rings: 2 vs 1 variables",
+                     id="<lambda>-monomials live in different rings: 2 vs 1 variables0"),
+        pytest.param(lambda: m(1, 0) * m(1,), "monomials live in different rings: 2 vs 1 variables",
+                     id="<lambda>-monomials live in different rings: 2 vs 1 variables1"),
+        pytest.param(lambda: monomial_from_support(2, (3,)), "variable index 3 out of range 1..2",
+                     id="<lambda>-variable index 3 out of range 1..2"),
+        pytest.param(lambda: MonomialIdeal(-1, ()), "need n >= 0, got -1",
+                     id="<lambda>-need n >= 0, got -1"),
+        pytest.param(lambda: MonomialIdeal(2, (m(1, 0), m(1, 0, 0))),
+                     "generator (1, 0, 0) has 3 variables, ideal has 2",
+                     id="<lambda>-generator (1, 0, 0) has 3 variables, ideal has 2"),
+        pytest.param(lambda: MonomialIdeal(2, (m(1, 0), m(0, 0))),
+                     "unit ideal rejected: generator of degree 0",
+                     id="<lambda>-unit ideal rejected: generator of degree 0_0"),
         # the first offending generator names the error
-        (lambda: MonomialIdeal(2, (m(0, 0), m(1,))), "unit ideal rejected: generator of degree 0"),
-        (lambda: MonomialIdeal(2, (m(1,), m(0, 0))), "generator (1,) has 1 variables, ideal has 2"),
-        (lambda: ideal_of(2, (1, 2)).power(0), "power must be a positive integer, got 0"),
-        (lambda: ideal_of(2, (1, 2)).relabel((1, 1)),
-         "labeling (1, 1) is not a permutation of 1..2"),
-        (lambda: terai_ideal().polarize(),
-         "operation requires generation in degree 2, found degree 3"),
+        pytest.param(lambda: MonomialIdeal(2, (m(0, 0), m(1,))),
+                     "unit ideal rejected: generator of degree 0",
+                     id="<lambda>-unit ideal rejected: generator of degree 0_1"),
+        pytest.param(lambda: MonomialIdeal(2, (m(1,), m(0, 0))),
+                     "generator (1,) has 1 variables, ideal has 2",
+                     id="<lambda>-generator (1,) has 1 variables, ideal has 2"),
+        pytest.param(lambda: ideal_of(2, (1, 2)).power(0), "power must be a positive integer, got 0",
+                     id="<lambda>-power must be a positive integer, got 0"),
+        pytest.param(lambda: ideal_of(2, (1, 2)).relabel((1, 1)),
+                     "labeling (1, 1) is not a permutation of 1..2",
+                     id="<lambda>-labeling (1, 1) is not a permutation of 1..2"),
+        pytest.param(lambda: terai_ideal().polarize(),
+                     "operation requires generation in degree 2, found degree 3",
+                     id="<lambda>-operation requires generation in degree 2, found degree 3"),
     ])
     def test_text(self, build, text):
         with pytest.raises(InputError, match=f"^{re.escape(text)}$"):

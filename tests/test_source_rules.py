@@ -1,6 +1,8 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,18 +19,44 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statements at lines {lines}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_runtime_imports_are_stdlib(path):
-    # linres needs only the standard library at run time
+def absolute_imports(path):
+    """The modules path imports by absolute name."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names]
-    modules += [node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return modules + [node.module for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level == 0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_are_stdlib(path):
+    # linres needs only the standard library at run time
+    modules = absolute_imports(path)
     outside = sorted({m for m in modules
                       if m.split(".")[0] != "linres"
                       and m.split(".")[0] not in sys.stdlib_module_names})
     assert not outside, f"{path.name}: imports outside the standard library: {outside}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # the value types are plain classes on linres.value.Value, so importing
+    # linres runs no code generation
+    assert "dataclasses" not in {m.split(".")[0] for m in absolute_imports(path)}
+
+
+def test_cli_imports_without_dataclasses():
+    # the same, counted in a fresh interpreter: nothing linres.cli imports
+    # loads the dataclasses module
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, linres.cli; print(linres.cli.__file__); print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().parent.parent == Path(src)
+    assert loaded == "False"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
