@@ -96,14 +96,6 @@ class FieldSpec(Value):
             raise InputError(f"GF({p}) is not a field; p must be prime")
         object.__setattr__(self, "p", p)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p,))
-
     @property
     def label(self) -> str:
         return "Q" if self.p is None else f"GF({self.p})"

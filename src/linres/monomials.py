@@ -47,14 +47,6 @@ class Monomial(Value):
             raise InputError(f"exponents must be non-negative integers, got {exps}")
         object.__setattr__(self, "exps", exps)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.exps == other.exps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.exps,))
-
     @property
     def n(self) -> int:
         return len(self.exps)
@@ -125,14 +117,6 @@ class MonomialIdeal(Value):
                     raise InputError("unit ideal rejected: generator of degree 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gens", _minimalize(dict(zip(exps, gens))))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n and self.gens == other.gens
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.gens))
 
     @property
     def num_gens(self) -> int:

@@ -62,14 +62,6 @@ class Binomial(Value):
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "tail", tail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.lead == other.lead and self.tail == other.tail
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lead, self.tail))
-
     def x_degree(self, n: int) -> int:
         """Largest total degree in the first n variables on either side."""
         return max(sum(self.lead[:n]), sum(self.tail[:n]))

@@ -5,9 +5,7 @@ sets each once, in ``__init__``, through ``object.__setattr__``; after
 that, assigning or deleting an attribute raises AttributeError.  Two
 values are equal when they are of the same class and their fields are
 equal, a value hashes as the tuple of its fields, and its repr reads
-``Name(field=value, ...)``.  Classes that are set members or dict keys on
-hot paths define ``__eq__`` and ``__hash__`` over their fields directly,
-with the same meaning.  Plain classes rather than generated ones keep
+``Name(field=value, ...)``.  Plain classes rather than generated ones keep
 code generation out of ``import linres``.
 """
 
