@@ -63,7 +63,7 @@ from .quotients import (
     has_linear_quotients,
     isolated_squares,
 )
-from .rank import rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
+from .rank import rank_gf2, rank_sparse
 from .rees import (
     Binomial,
     ReesRing,

@@ -53,8 +53,8 @@ read off in the same pass.  GF(2) reduces the columns, each one int,
 against an XOR basis.  Over Q that GF(2) rank is a lower bound, and the
 rank is at most the number of columns and at most the rows less the
 rank of the boundary below; when the GF(2) rank meets that bound it is
-the rank over Q, and fraction-free elimination runs only on the rest.
-Other GF(p) eliminate the dense signed matrix.
+the rank over Q.  Otherwise, and over every other GF(p), the signed
+columns are built as sparse rows and ranked by rank.rank_sparse.
 
 The independent cross-check for squarefree ideals reads the same table
 from the other side: beta_{i,j}(I) is the sum over j-element vertex
@@ -64,11 +64,11 @@ share as little code as possible.  Only the W that are unions of
 generator supports are taken; at any other W the induced complex is a
 cone (see hochster_oracle).
 
-All ranks are exact: fraction-free integer elimination over Q, modular
-elimination over GF(p), XOR elimination over GF(2).  The test-scale
-oracle lists its faces once per call as vertex bitmasks, assembles its
-own coboundary matrices and ranks them densely with FieldSpec.rank; it
-shares no face or matrix code with the walk.
+All ranks are exact: XOR elimination over GF(2), and one sparse
+integer eliminator, taken mod p over GF(p), for Q and every other field.
+The test-scale oracle lists its faces once per call as vertex bitmasks,
+assembles its own sparse coboundary rows and ranks them with the same
+eliminator; it shares no face or matrix code with the walk.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from collections.abc import Sequence
 
 from .errors import Falsification, InputError, ResourceGuard
 from .monomials import MonomialIdeal
-from .rank import is_prime, rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
+from .rank import is_prime, rank_gf2, rank_sparse
 from .value import Value
 
 
@@ -111,11 +111,6 @@ class FieldSpec(Value):
         if m:
             return FieldSpec(int(m[1] or m[2] or m[3]))
         raise InputError(f"cannot parse field {text!r}; use Q or GF:p")
-
-    def rank(self, rows: list[list[int]]) -> int:
-        if self.p is None:
-            return rank_over_q(rows)
-        return rank_mod_p(rows, self.p)
 
 
 QQ = FieldSpec(None)
@@ -185,7 +180,7 @@ def _mask_cohomology(faces: list[int], field: FieldSpec) -> dict[int, int]:
             continue
         mat = []
         for f in rows:
-            row = [0] * len(col_of)
+            row = {}
             rest = vertices & ~f
             while rest:
                 bit = rest & -rest
@@ -194,7 +189,7 @@ def _mask_cohomology(faces: list[int], field: FieldSpec) -> dict[int, int]:
                 if c is not None:
                     row[c] = -1 if (f & (bit - 1)).bit_count() & 1 else 1
             mat.append(row)
-        ranks[k] = field.rank(mat)
+        ranks[k] = rank_sparse(mat, field.p)
     out: dict[int, int] = {}
     for k in sorted(by_dim):
         h = len(by_dim[k]) - ranks.get(k, 0) - ranks.get(k - 1, 0)
@@ -251,16 +246,16 @@ def _shape(facets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _signed_columns(faces: dict[int, int], row_of: dict[int, int]) -> list[list[int]]:
-    """The boundary of each face as a dense signed column over the faces one smaller.
+def _signed_columns(faces: dict[int, int], row_of: dict[int, int]) -> list[dict[int, int]]:
+    """The boundary of each face as a sparse signed column, {row: entry},
+    over the faces one smaller.
 
     Dropping the vertex at position t among the face's set bits (from the
     lowest, t = 0) gives the entry (-1)^t.
     """
     out = []
     for f in faces:
-        col = [0] * len(row_of)
-        rest, sign = f, 1
+        col, rest, sign = {}, f, 1
         while rest:
             low = rest & -rest
             col[row_of[f ^ low]] = sign
@@ -280,24 +275,22 @@ def _rank_boundary(cols: dict[int, int], rows: dict[int, int], bits: list[int],
     hold the rank of the boundary below.
     """
     rank2 = rank_gf2(bits)
-    dense = None  # the signed matrix, built on first use and shared by the fields
-
-    def signed() -> list[list[int]]:
-        nonlocal dense
-        if dense is None:
-            dense = _signed_columns(cols, rows)
-        return dense
-
+    signed = None  # the sparse signed columns, built on first use and shared by the fields
     for rk, field in zip(ranks, fields):
-        if field.p == 2:
+        # rank_GF(2)(M) <= rank_Q(M) <= bound: a set of columns independent
+        # mod 2 has an r x r minor that is odd, hence a nonzero integer, so
+        # the same columns are independent over Q.  The boundary of size-s
+        # faces lands in the kernel of the boundary below it, so its rank
+        # is at most the number of rows less the rank below.  A GF(2) rank
+        # that reaches this bound therefore is the rank over Q, and
+        # elimination runs only below it.
+        if field.p == 2 or (field.p is None and rank2 == min(len(cols), len(rows) - rk[s - 1])):
             rk[s] = rank2
-        elif field.p is None:
-            # the boundary of size-s faces lands in the kernel of the
-            # boundary below it, so its rank is at most the number of rows
-            # less the rank below; see rank_over_q_via_gf2
-            rk[s] = rank_over_q_via_gf2(rank2, min(len(cols), len(rows) - rk[s - 1]), signed)
         else:
-            rk[s] = rank_mod_p(signed(), field.p)
+            if signed is None:
+                signed = _signed_columns(cols, rows)
+            # a matrix and its transpose have one rank
+            rk[s] = rank_sparse(signed, field.p)
 
 
 def _strand_homology(facets: Sequence[int], fields) -> list[dict[int, int]]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import pipeline
 from .betti import (
@@ -457,6 +456,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        # imported only here: at module level it is about a quarter of
+        # what importing linres.cli costs
+        import traceback
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3

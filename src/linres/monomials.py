@@ -43,6 +43,9 @@ class Monomial(Value):
     __slots__ = _fields = ("exps",)
 
     def __init__(self, exps: tuple[int, ...]):
+        # a list or other sequence is kept as a tuple, so equality and
+        # hashing do not depend on the type given
+        exps = tuple(exps)
         if not all(map(isinstance, exps, itertools.repeat(int))) or (exps and min(exps) < 0):
             raise InputError(f"exponents must be non-negative integers, got {exps}")
         object.__setattr__(self, "exps", exps)

@@ -1,15 +1,14 @@
 """Exact matrix rank over Q and over prime fields.
 
-No floating point anywhere: the rational-rank path runs fraction-free
-Gaussian elimination (Bareiss) on Python integers, the modular path runs
-ordinary elimination with inverses mod p, and GF(2) keeps each vector as
-the bits of one int and eliminates with XOR.  Dense matrices are small
-lists of lists; rows of zeros and empty matrices are fine.
+No floating point anywhere, and two eliminators: GF(2) keeps each vector
+as the bits of one int and eliminates with XOR (rank_gf2), and Q and
+every GF(p) share one sparse eliminator on rows of Python integers
+(rank_sparse).  Rows of zeros and empty matrices are fine.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
 
 from .errors import InputError
 
@@ -33,89 +32,51 @@ def rank_gf2(vectors: list[int]) -> int:
     return len(basis)
 
 
-def rank_over_q_via_gf2(rank2: int, bound: int,
-                        build: Callable[[], list[list[int]]]) -> int:
-    """Rank over Q of an integer matrix whose GF(2) rank is *rank2*.
+def rank_sparse(rows: list[dict[int, int]], p: int | None = None) -> int:
+    """Rank over Q (p None) or over GF(p) of sparse integer rows, each a
+    dict from column to entry, by a basis of rows keyed by leading column.
 
-    *bound* is an upper bound on the rank over Q, min(rows, cols) or a
-    tighter one the caller knows.  *build* returns the matrix; it is
-    called only when Bareiss elimination has to run.
+    Shaped like rank_gf2: the basis holds at most one row per leading
+    (largest) column, and a new row r whose lead j has a basis row b is
+    replaced by a*r - c*b, with a = b[j] and c = r[j], until it is zero
+    or has a lead of its own.  a is nonzero, so each step keeps the span
+    of the rows seen, and the basis rows, with distinct leads, are
+    independent.  Over GF(p) the entries are kept mod p, so no inverse is
+    needed.  Over Q they stay integers: a row joins the basis divided by
+    its content, with its lead made positive, so a basis row led by 1
+    reduces by plain subtraction.  The rows given are not changed.
     """
-    # rank_GF(2)(M) <= rank_Q(M) <= bound: a set of columns independent
-    # mod 2 has an r x r minor that is odd, hence a nonzero integer, so the
-    # same columns are independent over Q.  A GF(2) rank that reaches the
-    # bound therefore is the rank over Q, and elimination runs only below it.
-    if rank2 == bound:
-        return rank2
-    return rank_over_q(build())
-
-
-def rank_over_q(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by Bareiss elimination."""
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                pivot = r
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if p is None:
+            r = {k: x for k, x in row.items() if x}
+        else:
+            r = {k: x % p for k, x in row.items() if x % p}
+        while r:
+            lead = max(r)
+            b = basis.get(lead)
+            if b is None:
+                if p is None:
+                    g = math.gcd(*r.values())
+                    if r[lead] < 0:
+                        g = -g
+                    if g != 1:
+                        r = {k: x // g for k, x in r.items()}
+                basis[lead] = r
                 break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        for r in range(row + 1, m):
-            arc = a[r][col]
-            ar = a[r]
-            arow = a[row]
-            for c in range(col + 1, n):
-                ar[c] = (ar[c] * pv - arc * arow[c]) // prev
-            ar[col] = 0
-        prev = pv
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over GF(p) by Gaussian elimination."""
-    if p < 2:
-        raise InputError(f"modulus must be a prime >= 2, got {p}")
-    a = [[int(x) % p for x in r] for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = pow(a[row][col], -1, p)
-        arow = a[row]
-        for c in range(col, n):
-            arow[c] = arow[c] * inv % p
-        for r in range(row + 1, m):
-            f = a[r][col]
-            if f:
-                ar = a[r]
-                for c in range(col, n):
-                    ar[c] = (ar[c] - f * arow[c]) % p
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
+            a, c = b[lead], r[lead]
+            if a != 1:
+                for k in r:
+                    r[k] = r[k] * a if p is None else r[k] * a % p
+            for k, x in b.items():
+                y = r.get(k, 0) - c * x
+                if p is not None:
+                    y %= p
+                if y:
+                    r[k] = y
+                else:
+                    del r[k]
+    return len(basis)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

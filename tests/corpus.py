@@ -235,12 +235,74 @@ def brute_strand_facets(ideal: MonomialIdeal, a) -> list[frozenset]:
     ]
 
 
+def rank_bareiss(rows) -> int:
+    """Rank over the rationals of a dense integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        pv = a[row][col]
+        arow = a[row]
+        for r in range(row + 1, m):
+            arc = a[r][col]
+            ar = a[r]
+            for c in range(col + 1, n):
+                ar[c] = (ar[c] * pv - arc * arow[c]) // prev
+            ar[col] = 0
+        prev = pv
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of a dense integer matrix, by Gaussian elimination
+    with inverses mod p."""
+    a = [[int(x) % p for x in r] for r in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rank = 0
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        inv = pow(a[row][col], -1, p)
+        arow = a[row]
+        for c in range(col, n):
+            arow[c] = arow[c] * inv % p
+        for r in range(row + 1, m):
+            f = a[r][col]
+            if f:
+                ar = a[r]
+                for c in range(col, n):
+                    ar[c] = (ar[c] - f * arow[c]) % p
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank
+
+
 def homology_dims(faces, field) -> dict[int, int]:
     """Reduced homology dimensions of a complex given as a face list.
 
     *faces* must be downward closed and include the empty face when the
     complex is nonvoid.  Faces are frozensets of vertices.  Returns only
-    the nonzero dims, keyed by homological dimension (-1 allowed).
+    the nonzero dims, keyed by homological dimension (-1 allowed).  Each
+    boundary is a dense matrix, ranked by rank_bareiss over Q and by
+    rank_mod_p over GF(p).
     """
     by_dim: dict[int, list[tuple[int, ...]]] = {}
     for f in faces:
@@ -263,7 +325,7 @@ def homology_dims(faces, field) -> dict[int, int]:
             for pos in range(len(f)):
                 sub = f[:pos] + f[pos + 1:]
                 mat[rows_idx[sub]][c] += -1 if pos % 2 else 1
-        ranks[k] = field.rank(mat)
+        ranks[k] = rank_bareiss(mat) if field.p is None else rank_mod_p(mat, field.p)
     out: dict[int, int] = {}
     for k in range(-1, top + 1):
         ck = len(by_dim.get(k, []))
@@ -277,8 +339,8 @@ def cohomology_dims(faces, field) -> dict[int, int]:
     """Reduced cohomology dimensions, assembled through coboundary matrices.
 
     Over a field these agree with the reduced homology dimensions; the
-    coboundary assembly (the Hochster oracle's) shares no matrix code with
-    homology_dims.  The faces, sets of comparable vertex labels, become
+    coboundary assembly (the Hochster oracle's, ranked by linres's sparse
+    eliminator) shares no matrix or rank code with homology_dims.  The faces, sets of comparable vertex labels, become
     bitmasks in the order of the labels.
     """
     faces = [frozenset(f) for f in faces]

@@ -17,6 +17,8 @@ from corpus import (
     cohomology_dims,
     homology_dims,
     ideal_of,
+    rank_bareiss,
+    rank_mod_p,
     square_corpus,
     squarefree_corpus,
     sturmfels_ideal,
@@ -41,7 +43,7 @@ from linres.errors import (
     ResourceGuard,
 )
 from linres.graphs import complement, edge_ideal, graph_of_ideal, is_chordal
-from linres.rank import is_prime, rank_gf2, rank_mod_p, rank_over_q, rank_over_q_via_gf2
+from linres.rank import is_prime, rank_gf2, rank_sparse
 from linres.monomials import Monomial, MonomialIdeal
 
 
@@ -612,9 +614,16 @@ def gf2_bits(rows):
     return [sum(1 << c for c, x in enumerate(row) if x % 2) for row in rows]
 
 
+def sparse_rows(rows):
+    """Each row of a dense integer matrix as {column: nonzero entry}."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+# entries beyond +-1, so that leads other than units and rows with a
+# content above 1 occur
 small_matrices = st.integers(1, 8).flatmap(
     lambda m: st.integers(1, 8).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                            min_size=m, max_size=m)))
 
 
@@ -625,23 +634,42 @@ class TestRankKernels:
         assert rank_gf2(gf2_bits(rows)) == rank_mod_p(rows, 2)
 
     @given(small_matrices)
-    @settings(max_examples=200, deadline=None)
-    def test_q_rank_through_gf2_matches_bareiss(self, rows):
-        bound = min(len(rows), len(rows[0]))
-        got = rank_over_q_via_gf2(rank_gf2(gf2_bits(rows)), bound, lambda: rows)
-        assert got == rank_over_q(rows)
+    @settings(max_examples=300, deadline=None)
+    def test_sparse_rank_matches_the_dense_references(self, rows):
+        sparse = sparse_rows(rows)
+        assert rank_sparse(sparse) == rank_bareiss(rows)
+        for p in (2, 3, 5):
+            assert rank_sparse(sparse, p) == rank_mod_p(rows, p), p
+        # the rows given are left as they were
+        assert sparse == sparse_rows(rows)
 
-    def test_gf2_deficient_matrix_runs_bareiss(self):
-        rows = [[1, 1], [1, -1]]
-        built = []
+    def test_non_unit_leads(self):
+        # the determinant is 6: the second row, led by 4 in column 1,
+        # reduces against the first, led by 2, to 2 * r2 - 4 * r1 = -6 in
+        # column 0, so the rank is 1 over GF(2) and GF(3) and 2 elsewhere
+        rows = [{0: 1, 1: 2}, {0: -1, 1: 4}]
+        assert [rank_sparse(rows, p) for p in (None, 2, 3, 5)] == [2, 1, 1, 2]
 
-        def build():
-            built.append(True)
-            return rows
+    def test_signed_columns_built_only_on_terai(self, monkeypatch):
+        # over Q the GF(2) rank of a boundary is used when it meets the
+        # bound, so the signed columns are built only where it falls
+        # below: once, on Terai's RP^2 strand, across the powers of the
+        # four inputs the benchmark's powers workload runs
+        calls = []
+        original = betti_mod._signed_columns
 
-        assert rank_gf2(gf2_bits(rows)) == 1
-        assert rank_over_q_via_gf2(1, 2, build) == 2
-        assert built == [True]
+        def counting(faces, row_of):
+            calls.append(len(faces))
+            return original(faces, row_of)
+
+        monkeypatch.setattr(betti_mod, "_signed_columns", counting)
+        built = {}
+        for name, ideal in [("sturmfels", sturmfels_ideal()), ("terai", terai_ideal()),
+                            ("co-P6", co_path(6)), ("co-C6", co_cycle(6))]:
+            calls.clear()
+            powers_linear_report(ideal, (QQ, GF2), 3)
+            built[name] = len(calls)
+        assert built == {"sturmfels": 0, "terai": 1, "co-P6": 0, "co-C6": 0}
 
 
 class TestHochsterOracle:
@@ -785,6 +813,29 @@ class TestPolarizationInvariance:
     def test_linearity_via_polarization_is_cross_checked(self):
         # the verdict path computes both tables and insists they agree
         assert is_linear_resolution(ideal_of(2, (1, 1), (1, 2), (2, 2)))
+
+    def test_twelve_generators_with_six_squares(self, monkeypatch):
+        # the polarization has 13 variables and many strands with GF(2)
+        # homology, so its Q ranks are eliminated, not read off GF(2); the
+        # tables were recorded from dense Bareiss elimination, and both
+        # the ideal and its polarization are walked
+        ideal = ideal_of(7, (1, 1), (2, 2), (4, 4), (5, 5), (6, 6), (7, 7),
+                         (1, 2), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3))
+        walked = []
+        original = betti_mod.koszul_tables
+
+        def counting(ideal, fields, *args):
+            walked.append(ideal.n)
+            return original(ideal, fields, *args)
+
+        monkeypatch.setattr(betti_mod, "koszul_tables", counting)
+        tables = betti_mod.checked_tables(ideal, (QQ, GF2))
+        assert walked == [7, 13]
+        expect = {(0, 2): 12, (1, 3): 22, (1, 4): 14, (2, 4): 21, (2, 5): 18,
+                  (2, 6): 16, (3, 5): 15, (3, 6): 4, (3, 7): 22, (3, 8): 9,
+                  (4, 6): 6, (4, 8): 6, (4, 9): 13, (4, 10): 2, (5, 7): 1,
+                  (5, 10): 4, (5, 11): 3, (6, 12): 1}
+        assert tables["Q"].entries == tables["GF(2)"].entries == expect
 
     def test_split_from_polarization_is_a_falsification(self):
         ideal = ideal_of(2, (1, 1), (1, 2), (2, 2))

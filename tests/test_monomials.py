@@ -55,6 +55,15 @@ class TestMonomial:
         with pytest.raises(InputError):
             m(1, 0).lcm(m(1, 0, 0))
 
+    def test_list_exponents_kept_as_a_tuple(self):
+        u = Monomial([1, 1])
+        assert u.exps == (1, 1) and type(u.exps) is tuple
+        assert u == Monomial((1, 1)) and hash(u) == hash(Monomial((1, 1)))
+
+    def test_ideal_of_list_exponents_builds(self):
+        ideal = MonomialIdeal(2, (Monomial([1, 1]),))
+        assert ideal.gens == (m(1, 1),)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(InputError):
             Monomial((1, -1))

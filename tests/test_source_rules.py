@@ -47,16 +47,18 @@ def test_no_dataclasses(path):
 
 def test_cli_imports_without_dataclasses():
     # the same, counted in a fresh interpreter: nothing linres.cli imports
-    # loads the dataclasses module
+    # loads the dataclasses module, nor traceback, which only the
+    # internal-error branch of cli.main imports
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, linres.cli; print(linres.cli.__file__); print('dataclasses' in sys.modules)"
+    code = ("import sys, linres.cli; print(linres.cli.__file__); "
+            "print('dataclasses' in sys.modules, 'traceback' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     where, loaded = proc.stdout.splitlines()
     assert Path(where).resolve().parent.parent == Path(src)
-    assert loaded == "False"
+    assert loaded == "False False"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
