@@ -12,7 +12,6 @@ from .betti import (
     QQ,
     BettiTable,
     FieldSpec,
-    check_polarization,
     checked_tables,
     hochster_oracle,
     is_linear_resolution,

@@ -641,53 +641,36 @@ def hochster_oracle(ideal: MonomialIdeal, field: FieldSpec = QQ) -> BettiTable:
 # verdicts
 # ---------------------------------------------------------------------------
 
-def check_polarization(ideal: MonomialIdeal, *tables: BettiTable) -> None:
-    """Cross-check a quadratic ideal with squares against its polarization.
+def checked_tables(ideal: MonomialIdeal, fields=(QQ,), memo: KoszulMemo | None = None
+                   ) -> tuple[dict[str, BettiTable], str | None]:
+    """The Koszul tables of I over *fields* (see koszul_tables), and a note:
+    None, or "not checked: <the cap message>" when the polarization check
+    below could not run.
 
-    Polarization keeps the graded Betti numbers, so the Koszul table of
-    the polarized (squarefree) ideal must equal each of *tables*, the
-    ideal's own over their fields, entry by entry; a split raises
-    Falsification.  The polarization is walked once for all the fields.
-    Other ideals pass without a scan.
+    Polarization keeps the graded Betti numbers (Herzog and Hibi,
+    Monomial Ideals, Cor. 1.6.3), so for a quadratic ideal with squares
+    the Koszul table of the polarized (squarefree) ideal must equal I's
+    own over each field; a split raises Falsification.  One walk of I
+    (on *memo* when given) and at most one of its polarization serve
+    every field.  s squares take the box from 3^s 2^(n-s) to 2^(n+s), so
+    the polarization's walk can abort, before it scans anything, when the
+    walk of I did not: then only the note says so.  A walk of I over the
+    cap raises ResourceGuard.
     """
-    if ideal.degree != 2 or ideal.is_squarefree():
-        return
-    pol = koszul_tables(ideal.polarize(), [t.field for t in tables])
-    for table in tables:
-        got = pol[table.field.label]
-        if got.entries != table.entries:
-            raise Falsification(
-                "polarization changed the Betti table: "
-                f"{sorted(got.entries.items())} vs {sorted(table.entries.items())}"
-            )
-
-
-def checked_tables(ideal: MonomialIdeal, fields=(QQ,),
-                   memo: KoszulMemo | None = None) -> dict[str, BettiTable]:
-    """The Koszul tables of I over *fields* (see koszul_tables), after the
-    polarization cross-check; one walk of I and at most one of its
-    polarization serve every field, and the walk of I reads and fills
-    *memo* when given."""
     tables = koszul_tables(ideal, fields, memo)
-    check_polarization(ideal, *tables.values())
-    return tables
-
-
-def noted_tables(ideal: MonomialIdeal, fields) -> tuple[dict[str, BettiTable], str | None]:
-    """The Koszul tables of I over *fields*, and a note on the polarization
-    cross-check: None when it ran or does not apply, "not checked: <the
-    cap message>" when only the polarization's box passes MULTIDEGREE_CAP.
-
-    s squares take the box from 3^s 2^(n-s) to 2^(n+s), so the
-    polarization's walk can abort, before it scans anything, when the
-    walk of I did not.  A split still raises Falsification, and a walk of
-    I over the cap ResourceGuard.
-    """
-    tables = koszul_tables(ideal, fields)
+    if ideal.degree != 2 or ideal.is_squarefree():
+        return tables, None
     try:
-        check_polarization(ideal, *tables.values())
+        pol = koszul_tables(ideal.polarize(), fields)
     except ResourceGuard as exc:
         return tables, f"not checked: {exc}"
+    for label, table in tables.items():
+        got = pol[label].entries
+        if got != table.entries:
+            raise Falsification(
+                "polarization changed the Betti table: "
+                f"{sorted(got.items())} vs {sorted(table.entries.items())}"
+            )
     return tables, None
 
 
@@ -696,13 +679,14 @@ def is_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = QQ) -> bool:
 
     Requires a nonzero equigenerated ideal.  The verdict is read from the
     checked table, so a quadratic ideal with squares is also scanned
-    through its polarization and the two tables must agree.
+    through its polarization and the two tables must agree; when only
+    the polarization's box passes the cap, I's own table decides.
     """
     if ideal.is_zero():
         raise InputError("linearity of the zero ideal is not defined")
     if not ideal.is_equigenerated():
         raise InputError("linearity needs all generators in one degree")
-    return checked_tables(ideal, (field,))[field.label].is_linear
+    return checked_tables(ideal, (field,))[0][field.label].is_linear
 
 
 def powers_linear_report(
@@ -715,8 +699,10 @@ def powers_linear_report(
     """Per-power linearity records for I, I^2, ..., I^max_power.
 
     A record carries k, the number of minimal generators, one verdict per
-    field and the seconds taken.  *tables*, when given, are the tables
-    of I itself, read for k = 1 instead of walking I again.
+    field and the seconds taken; a walked k = 1 also carries the note of
+    checked_tables as "polarization" (I^k for k >= 2 has degree >= 4 and
+    is never polarized).  *tables*, when given, are the tables of I
+    itself, read for k = 1 instead of walking I again.
     *certify*, when given, is called as certify(k, I^k) for every k >= 2
     before any walk; when it returns True it has proved I^k linear over
     every field, and the record says so with no walk.  Every other power
@@ -748,9 +734,12 @@ def powers_linear_report(
             if k > 1 and certify is not None and certify(k, power):
                 record["linear"] = {f.label: True for f in fields}
             else:
-                checked = tables if k == 1 and tables else checked_tables(power, fields, memo)
+                checked, note = ((tables, None) if k == 1 and tables
+                                 else checked_tables(power, fields, memo))
                 for f in fields:
                     record["linear"][f.label] = checked[f.label].is_linear
+                if note:
+                    record["polarization"] = note
         except ResourceGuard as exc:
             record["aborted"] = str(exc)
             record["linear"] = None

@@ -19,7 +19,7 @@ from .betti import (
     GF2,
     QQ,
     FieldSpec,
-    noted_tables,
+    checked_tables,
     powers_linear_report,
 )
 from .errors import (
@@ -114,6 +114,8 @@ def _power_lines(records, routes=None) -> list[str]:
             f"  k={rec['k']}: {rec['num_gens']} generators, linear: {verdicts}{via}"
             f"  [{rec['seconds']}s]"
         )
+        if "polarization" in rec:
+            out.append(f"  polarization: {rec['polarization']}")
     return out
 
 
@@ -218,7 +220,7 @@ def cmd_betti(args) -> tuple[dict, list[str]]:
     fields = _parse_fields(args.field)
     report = {"command": "betti", "input": ideal_to_json(ideal, names), "tables": {}}
     lines = [f"ideal: {_ideal_blurb(ideal)}"]
-    tables, note = noted_tables(ideal, fields)
+    tables, note = checked_tables(ideal, fields)
     for label, table in tables.items():
         shown = report["tables"][label] = table.to_json()
         lines.extend(_table_lines(label, shown))

@@ -44,9 +44,13 @@ class Monomial(Value):
 
     def __init__(self, exps: tuple[int, ...]):
         # a list or other sequence is kept as a tuple, so equality and
-        # hashing do not depend on the type given
-        exps = tuple(exps)
-        if not all(map(isinstance, exps, itertools.repeat(int))) or (exps and min(exps) < 0):
+        # hashing do not depend on the type given; each exponent's type
+        # must be int itself, so a bool (an int subclass) is refused
+        try:
+            exps = tuple(exps)
+        except TypeError:
+            raise InputError(f"exponents must be non-negative integers, got {exps!r}") from None
+        if not {int}.issuperset(map(type, exps)) or (exps and min(exps) < 0):
             raise InputError(f"exponents must be non-negative integers, got {exps}")
         object.__setattr__(self, "exps", exps)
 

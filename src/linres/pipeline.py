@@ -167,7 +167,7 @@ def analyze(ideal: monomials.MonomialIdeal, fields=(betti.QQ, betti.GF2),
     if ideal.degree == 2:
         return _analyze_quadratic(report, ideal, names, fields, max_power)
 
-    tables = betti.checked_tables(ideal, fields)
+    tables, _ = betti.checked_tables(ideal, fields)  # degree != 2: nothing to note
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}
     report["regularity"] = {lab: t.regularity for lab, t in tables.items()}
     if not ideal.is_equigenerated():
@@ -238,7 +238,7 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     # stage 4: Betti tables, checked against the polarization when there
     # are squares and its box fits the cap; linearity is read from them
     t0 = time.perf_counter()
-    tables, note = betti.noted_tables(ideal, fields)
+    tables, note = betti.checked_tables(ideal, fields)
     timings["betti"] = round(time.perf_counter() - t0, 3)
     linear = {lab: t.is_linear for lab, t in tables.items()}
     report["betti"] = {lab: t.to_json() for lab, t in tables.items()}

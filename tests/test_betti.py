@@ -30,7 +30,6 @@ from linres.betti import (
     QQ,
     BettiTable,
     FieldSpec,
-    check_polarization,
     hochster_oracle,
     is_linear_resolution,
     koszul_betti,
@@ -814,6 +813,22 @@ class TestPolarizationInvariance:
         # the verdict path computes both tables and insists they agree
         assert is_linear_resolution(ideal_of(2, (1, 1), (1, 2), (2, 2)))
 
+    def test_polarization_over_the_cap_is_noted(self, monkeypatch):
+        # x1^2, x1x2, x3x4: the ideal's box is 24 and its polarization's 32,
+        # so at a cap of 24 only the check is skipped, and I's table decides
+        ideal = ideal_of(4, (1, 1), (1, 2), (3, 4))
+        checked, note = betti_mod.checked_tables(ideal, (QQ, GF2))
+        assert note is None
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 24)
+        tables, note = betti_mod.checked_tables(ideal, (QQ, GF2))
+        assert note == "not checked: 32 candidate multidegrees exceed the cap 24"
+        assert {lab: t.entries for lab, t in tables.items()} == \
+            {lab: t.entries for lab, t in checked.items()}
+        assert is_linear_resolution(ideal) is checked["Q"].is_linear
+        monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 23)
+        with pytest.raises(ResourceGuard, match="24 candidate multidegrees exceed the cap 23"):
+            betti_mod.checked_tables(ideal, (QQ,))
+
     def test_twelve_generators_with_six_squares(self, monkeypatch):
         # the polarization has 13 variables and many strands with GF(2)
         # homology, so its Q ranks are eliminated, not read off GF(2); the
@@ -829,19 +844,27 @@ class TestPolarizationInvariance:
             return original(ideal, fields, *args)
 
         monkeypatch.setattr(betti_mod, "koszul_tables", counting)
-        tables = betti_mod.checked_tables(ideal, (QQ, GF2))
-        assert walked == [7, 13]
+        tables, note = betti_mod.checked_tables(ideal, (QQ, GF2))
+        assert walked == [7, 13] and note is None
         expect = {(0, 2): 12, (1, 3): 22, (1, 4): 14, (2, 4): 21, (2, 5): 18,
                   (2, 6): 16, (3, 5): 15, (3, 6): 4, (3, 7): 22, (3, 8): 9,
                   (4, 6): 6, (4, 8): 6, (4, 9): 13, (4, 10): 2, (5, 7): 1,
                   (5, 10): 4, (5, 11): 3, (6, 12): 1}
         assert tables["Q"].entries == tables["GF(2)"].entries == expect
 
-    def test_split_from_polarization_is_a_falsification(self):
-        ideal = ideal_of(2, (1, 1), (1, 2), (2, 2))
-        wrong = koszul_betti(ideal_of(4, (1, 2), (3, 4)), QQ)
-        with pytest.raises(Falsification):
-            check_polarization(ideal, wrong)
+    def test_split_from_polarization_is_a_falsification(self, monkeypatch):
+        original = betti_mod.koszul_tables
+
+        def split(ideal, fields, *args):
+            # the polarization's walk gains a Betti number the ideal lacks
+            tables = original(ideal, fields, *args)
+            if ideal.is_squarefree():
+                tables["Q"].entries[(9, 9)] = 1
+            return tables
+
+        monkeypatch.setattr(betti_mod, "koszul_tables", split)
+        with pytest.raises(Falsification, match="polarization changed the Betti table"):
+            betti_mod.checked_tables(ideal_of(2, (1, 1), (1, 2), (2, 2)), (QQ,))
 
 
 class TestPowers:

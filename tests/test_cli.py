@@ -241,7 +241,7 @@ class TestAnalyze:
     def test_polarization_over_the_cap_is_noted(self, capsys, monkeypatch, tmp_path):
         # x1^2, x1x2, x3x4: the ideal's box is 24 and its polarization's 32
         # (see TestBetti.test_polarization_over_the_cap_is_not_checked);
-        # analyze notes the check it could not make, as betti does
+        # analyze and power note the check they could not make, as betti does
         import linres.betti as betti_mod
 
         path = write_ideal(tmp_path, "sq.json", ["x1", "x2", "x3", "x4"],
@@ -259,6 +259,17 @@ class TestAnalyze:
         rc, out, err = run(capsys, "analyze", path)
         assert rc == 0 and err == ""
         assert f"polarization: {note}" in out.splitlines()
+        # power carries the note in the k = 1 record and goes on to I^2
+        rc, report = run_json(capsys, "power", path)
+        assert rc == 0
+        first, second = report["powers"]
+        assert list(first) == ["k", "num_gens", "linear", "polarization", "seconds"]
+        assert first["linear"] == checked["linear_resolution"]
+        assert set(first["linear"]) == {"Q", "GF(2)"} and first["polarization"] == note
+        assert second["aborted"] == "135 candidate multidegrees exceed the cap 24"
+        rc, out, err = run(capsys, "power", path)
+        assert rc == 0 and err == ""
+        assert f"  polarization: {note}" in out.splitlines()
         # the ideal's own walk over the cap is still a resource error
         monkeypatch.setattr(betti_mod, "MULTIDEGREE_CAP", 23)
         rc, out, err = run(capsys, "analyze", path)
@@ -593,7 +604,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise KeyError("planted for the dispatcher test")
 
-        monkeypatch.setattr(cli_mod, "noted_tables", boom)
+        monkeypatch.setattr(cli_mod, "checked_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3
         assert err.startswith("internal error:")
@@ -605,7 +616,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise Falsification("planted for the dispatcher test")
 
-        monkeypatch.setattr(cli_mod, "noted_tables", boom)
+        monkeypatch.setattr(cli_mod, "checked_tables", boom)
         rc, out, err = run(capsys, "betti", k3)
         assert rc == 3 and out == "" and "falsification:" in err
 

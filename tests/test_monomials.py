@@ -279,6 +279,11 @@ class TestInputErrorTexts:
                      id="<lambda>-exponents must be non-negative integers, got (1, 2.0)"),
         pytest.param(lambda: Monomial((0, "a")), "exponents must be non-negative integers, got (0, 'a')",
                      id="<lambda>-exponents must be non-negative integers, got (0, 'a')"),
+        pytest.param(lambda: Monomial((True, 1)),
+                     "exponents must be non-negative integers, got (True, 1)",
+                     id="bool-exponent"),
+        pytest.param(lambda: Monomial(5), "exponents must be non-negative integers, got 5",
+                     id="non-iterable-exponents"),
         pytest.param(lambda: m(1, 0).lcm(m(1,)), "monomials live in different rings: 2 vs 1 variables",
                      id="<lambda>-monomials live in different rings: 2 vs 1 variables0"),
         pytest.param(lambda: m(1, 0) * m(1,), "monomials live in different rings: 2 vs 1 variables",
