@@ -26,7 +26,6 @@ from .errors import (
     BudgetExhausted,
     Falsification,
     InputError,
-    PreconditionError,
     ResourceGuard,
 )
 from .graphs import (
@@ -451,10 +450,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             print(json.dumps({"command": args.subcommand, "falsification": str(exc)}, indent=2))
         return 3
-    except (InputError, PreconditionError, BudgetExhausted, ResourceGuard) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, BudgetExhausted, ResourceGuard, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

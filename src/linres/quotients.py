@@ -25,46 +25,62 @@ from .graphs import CheckResult, check_star, check_star_star
 from .monomials import Monomial, MonomialIdeal, monomial_from_support
 
 
-def _at_least(exps: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Per-variable bitsets over positions: bit p of rows[k][t] is set iff
-    exps[p][k] >= t.  Rows run to two past the largest exponent, so
-    rows[k][e + 2] exists for every exponent e that occurs."""
-    rows = []
+def _at_least(exps: Sequence[tuple[int, ...]]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """Per-variable bitsets over positions, on exponent ranks: returns
+    (rows, ranked), with bit p of rows[k][t] set iff ranked[p][k] >= t.
+
+    Each variable's exponents are ranked from 0 up, a gap of one kept and
+    a larger gap cut to two, so for an exponent e of rank r a rank >= r + 1
+    means an exponent > e, and a rank >= r + 2 one >= e + 2.  Rows run to
+    two past the largest rank: at most 2m + 1 entries for m positions,
+    whatever the exponents."""
+    rows, columns = [], []
     for k in range(len(exps[0])):
-        row = [0] * (max(e[k] for e in exps) + 3)
-        for p, e in enumerate(exps):
-            row[e[k]] |= 1 << p
+        column = [x[k] for x in exps]
+        values = sorted(set(column))
+        rank = {values[0]: 0}
+        for prev, e in zip(values, values[1:]):
+            rank[e] = rank[prev] + min(e - prev, 2)
+        top = rank[values[-1]]
+        # a rank is at most its exponent, equal at the top only if equal throughout
+        if top != values[-1]:
+            column = [rank[e] for e in column]
+        row = [0] * (top + 3)
+        for p, t in enumerate(column):
+            row[t] |= 1 << p
         for t in range(len(row) - 2, -1, -1):
             row[t] |= row[t + 1]
         rows.append(row)
-    return rows
+        columns.append(column)
+    return rows, list(zip(*columns))
 
 
-def _validate_order(order: Sequence[Monomial]) -> list[list[int]]:
+def _validate_order(order: Sequence[Monomial]) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """Reject an empty, mixed-ring or non-minimal order; return the
-    ``_at_least`` bitsets of its exponents."""
+    ``_at_least`` bitsets and ranked exponents of its generators."""
     if not order:
         raise InputError("empty generator order")
     n = order[0].n
     for u in order:
         if u.n != n:
             raise InputError("generators live in different rings")
-    rows = _at_least([u.exps for u in order])
+    rows, ranked = _at_least([u.exps for u in order])
     for i, u in enumerate(order):
         # the multiples of u among the generators, u itself excluded
         multiples = ~(1 << i)
         for k, row in enumerate(rows):
-            multiples &= row[u.exps[k]]
+            multiples &= row[ranked[i][k]]
         if multiples:
             v = order[(multiples & -multiples).bit_length() - 1]
             raise InputError(f"{u} divides {v}; linear quotients needs a minimal system")
-    return rows
+    return rows, ranked
 
 
 def _unwitnessed(rows: list[list[int]], v: tuple[int, ...], prefix: int) -> int:
     """The positions p in the bitset *prefix* whose quotient u_p / gcd(u_p, v)
     lies under no degree-one quotient, as a bitset; 0 exactly when the
-    colon ideal (u_p : p in prefix) : v is generated by variables.
+    colon ideal (u_p : p in prefix) : v is generated by variables.  *v* is
+    a generator's ranked exponents from ``_at_least``.
 
     The quotients generate the colon ideal, so it is generated by
     variables exactly when each quotient is divisible by one of degree
@@ -95,9 +111,9 @@ def has_linear_quotients(order: Sequence[Monomial]) -> CheckResult:
     first earlier generator whose quotient is not under any variable of
     the colon ideal.
     """
-    rows = _validate_order(order)
+    rows, ranked = _validate_order(order)
     for i in range(1, len(order)):
-        bad = _unwitnessed(rows, order[i].exps, (1 << i) - 1)
+        bad = _unwitnessed(rows, ranked[i], (1 << i) - 1)
         if bad:
             return CheckResult(False, (i + 1, (bad & -bad).bit_length()))
     return CheckResult(True, None)
@@ -186,7 +202,7 @@ def find_lq_order(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None:
     m = len(gens)
     if m <= 1:
         return tuple(gens)
-    rows = _at_least([g.exps for g in gens])
+    rows, ranked = _at_least([g.exps for g in gens])
     nodes = 0
     order: list[Monomial] = []
     chosen = 0  # bitmask over gens
@@ -206,7 +222,7 @@ def find_lq_order(ideal: MonomialIdeal) -> tuple[Monomial, ...] | None:
                     raise BudgetExhausted(
                         f"order search exceeded {LQ_SEARCH_BUDGET} nodes on {m} generators"
                     )
-                if not _unwitnessed(rows, gens[idx].exps, chosen):
+                if not _unwitnessed(rows, ranked[idx], chosen):
                     break
             idx += 1
         if idx < m:

@@ -12,12 +12,14 @@ colon from its definition.
 """
 
 import itertools
+import json
 import random
 import re
 
 import pytest
 
 from corpus import (
+    brute_chordless_cycle_exists,
     brute_colon,
     co_cycle,
     co_path,
@@ -25,13 +27,18 @@ from corpus import (
     lead_walk_order,
     square_corpus,
     squarefree_corpus,
+    sturmfels_ideal,
 )
+import linres.betti as betti_mod
 import linres.graphs as graphs_mod
 import linres.rees as rees_mod
 from linres import pipeline
-from linres.betti import GF2, QQ, koszul_tables
+from linres.betti import GF2, QQ, BettiTable, koszul_tables
+from linres.cli import main as cli_main
 from linres.errors import Falsification, PreconditionError
 from linres.graphs import (
+    CheckResult,
+    Chordality,
     Graph,
     check_free_vertex_squares,
     check_star,
@@ -46,7 +53,7 @@ from linres.graphs import (
 )
 from linres.monomials import Monomial, monomial_from_support
 from linres.quotients import has_linear_quotients
-from linres.rees import ReesRing, toric_ideal_basis, x_degree_check
+from linres.rees import ReesRing, XDegreeReport, toric_ideal_basis, x_degree_check
 
 
 def koszul_linear(ideal) -> bool:
@@ -234,6 +241,121 @@ class TestWrongOrderInAnalyze:
         binomial = re.escape("y[1,4]*y[2,5] - y[1,5]*y[2,4]")
         with pytest.raises(Falsification, match=f"element {binomial} does not lead"):
             pipeline.analyze(co_p5)
+
+
+def gf2_denies(right):
+    """checked_tables with beta_{1,d+2} = 1 added to the GF(2) table, d the
+    generator degree, so GF(2) denies a linear resolution."""
+    def wrong(ideal, fields, memo=None):
+        tables, note = right(ideal, fields, memo)
+        t = tables[GF2.label]
+        tables[GF2.label] = BettiTable(t.field, {**t.entries, (1, t.gen_degree + 2): 1},
+                                       t.gen_degree)
+        return tables, note
+    return wrong
+
+
+TRIANGLE = ideal_of(3, (1, 2), (1, 3), (2, 3))
+M_SQUARED = ideal_of(2, (1, 1), (1, 2), (2, 2))
+DISJOINT = ideal_of(4, (1, 2), (3, 4))  # its complement is the 4-cycle
+CO_P5 = co_path(5)
+
+
+class TestEveryCrossCheckFires:
+    """The Falsifications of pipeline.py and graphs.py that no other test
+    raises (TestWrongOrderInAnalyze and test_graphs.py's bad chordless
+    cycles raise the rest), each by one wrong answer from another module:
+    make(right) is the double installed for module.name.  pipeline calls
+    the other modules through their attributes, so the double is seen."""
+
+    @pytest.mark.parametrize("ideal, module, name, make, message", [
+        pytest.param(
+            TRIANGLE, betti_mod, "checked_tables", gf2_denies,
+            "squarefree linearity over GF(2) is False but complement chordality is True",
+            id="squarefree-linearity-vs-chordality"),
+        pytest.param(
+            M_SQUARED, graphs_mod, "is_chordal",
+            lambda right: lambda graph: Chordality(False, chordless_cycle=(1, 2, 3, 4)),
+            "ideal with a linear resolution whose squarefree part has a non-chordal "
+            "complement graph",
+            id="linear-but-not-chordal"),
+        pytest.param(
+            M_SQUARED, graphs_mod, "_free_vertex_squares",
+            lambda right: lambda loops, cert, cx: CheckResult(False, ("not_free", 1)),
+            "linear resolution but a square fails the free-vertex/facet conditions, "
+            "witness ['not_free', 1]",
+            id="linear-but-square-not-free"),
+        pytest.param(
+            M_SQUARED, graphs_mod, "check_star_star",
+            lambda right: lambda ideal: CheckResult(False, (1, 2, 2)),
+            "linear resolution but the relabeled ideal fails (*) or (**)",
+            id="linear-but-conditions-fail"),
+        pytest.param(
+            M_SQUARED, betti_mod, "checked_tables", gf2_denies,
+            "linear quotients order exists but some field denies a linear resolution",
+            id="quotients-vs-betti"),
+        pytest.param(
+            sturmfels_ideal(), betti_mod, "checked_tables", gf2_denies,
+            "linear quotients order exists but some field denies a linear resolution",
+            id="quotients-vs-betti-cubic"),
+        pytest.param(
+            TRIANGLE, rees_mod, "x_degree_check",
+            lambda right: lambda basis: XDegreeReport(False, 2, None),
+            "(*) and (**) hold but the reduced basis has a lead of x-degree > 1",
+            id="conditions-but-x-degree-2"),
+        pytest.param(
+            DISJOINT, rees_mod, "x_degree_check",
+            lambda right: lambda basis: XDegreeReport(True, 1, None),
+            "x-degree certificate holds but the ideal itself is not linear",
+            id="x-degree-but-not-linear"),
+        pytest.param(
+            CO_P5, graphs_mod, "leaf_order", lambda right: lambda cx: None,
+            "chordal complement's clique complex admits no leaf order",
+            id="no-leaf-order"),
+        pytest.param(
+            CO_P5, graphs_mod, "leaf_order", lambda right: lambda cx: right(cx)[1:],
+            "quasi-tree peel produced a non-permutation [5, 4, 2, 3, 0]",
+            id="leaf-order-drops-a-facet"),
+        pytest.param(
+            CO_P5, graphs_mod, "check_star",
+            lambda right: lambda ideal: CheckResult(False, (1, 2, 3)),
+            "relabeled edge ideal fails the upward pair condition at (1, 2, 3)",
+            id="peel-fails-upward-pairs"),
+        pytest.param(
+            DISJOINT, graphs_mod, "find_chordless_cycle", lambda right: lambda graph: None,
+            "MCS order failed PEO check but no chordless cycle was found",
+            id="no-chordless-cycle"),
+    ])
+    def test_fires(self, monkeypatch, ideal, module, name, make, message):
+        monkeypatch.setattr(module, name, make(getattr(module, name)))
+        with pytest.raises(Falsification) as caught:
+            pipeline.analyze(ideal)
+        assert str(caught.value) == message
+
+    def test_certified_powers_are_linear_on_every_field(self, tmp_path, capsys):
+        # an x-condition record reads True on every requested field, so it
+        # needs no comparison with the ideal's own linearity
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"variables": ["x1", "x2", "x3"],
+                                    "generators": ["x1*x2", "x1*x3", "x2*x3"]}))
+        assert cli_main(["analyze", str(path), "--field", "Q,GF:3", "--max-power", "3",
+                         "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["power_routes"] == ["koszul", "x_condition", "x_condition"]
+        assert [rec["linear"] for rec in report["powers"]] == [{"Q": True, "GF(3)": True}] * 3
+
+    def test_free_vertex_check_applies_when_the_complement_is_chordal(self):
+        # analyze reads the free-vertex verdict of a linear ideal with
+        # squares after requiring a chordal complement, so the check must
+        # apply there; every ideal here has a square, so nowhere else
+        chordal = 0
+        for ideal in square_corpus(4):
+            comp = complement(graph_of_ideal(ideal).simple())
+            applies = not brute_chordless_cycle_exists(comp)
+            chordal += applies
+            report = pipeline.analyze(ideal)
+            assert report["conditions"]["free_vertex_squares"]["applicable"] is applies, ideal
+        assert chordal == 978
 
 
 class TestOneChordalityDecision:

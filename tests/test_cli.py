@@ -476,6 +476,14 @@ class TestQuotients:
         rc, out, err = run(capsys, command, sturmfels)
         assert rc == 0 and "linear quotients: unknown (search budget exhausted)" in out
 
+    def test_exponent_too_large_to_index(self, capsys, tmp_path):
+        # the order check indexes exponent ranks, so no list is sized by 10^20
+        path = write_ideal(tmp_path, "big.json", ["x", "y"], ["x^99999999999999999999"])
+        rc, report = run_json(capsys, "quotients", path)
+        assert rc == 0
+        assert report["linear_quotients"] == {
+            "ok": True, "via": "search", "order": ["x^99999999999999999999"], "verified": True}
+
     def test_zero_ideal_rejected(self, capsys, tmp_path):
         path = write_ideal(tmp_path, "zero.json", ["x1"], [])
         rc, out, err = run(capsys, "quotients", path)

@@ -72,11 +72,22 @@ class TestHasLinearQuotients:
         # random minimal systems of mixed degree in random order, against
         # colon ideals built from the quotients and minimalized, and
         # against the condition (q) reference
-        rng = random.Random(2026)
+        self.agrees_on_random_systems(random.Random(2026), range(4))
+
+    def test_agrees_on_exponents_far_apart(self):
+        # the bitset rows are indexed by each variable's exponent ranks:
+        # gaps of one and two stay, a larger gap becomes two, and an
+        # exponent too large to index a list is fine
+        big = 10**20
+        self.agrees_on_random_systems(random.Random(2027), [0, 1, 3, 7, 8, big, big + 1, big + 2])
+
+    @staticmethod
+    def agrees_on_random_systems(rng, exponents):
         checked = failed = 0
         while checked < 1500:
             n = rng.randint(2, 4)
-            drawn = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 7))}
+            drawn = {tuple(rng.choice(exponents) for _ in range(n))
+                     for _ in range(rng.randint(2, 7))}
             order = brute_minimalize([Monomial(e) for e in drawn if any(e)])
             if len(order) < 2:
                 continue
